@@ -10,7 +10,7 @@ from .grating import (SlmProfile, binary_transmission, fourier_coefficient,
 from .model import (Carpet, DetectionSpec, GratingSpec, Pattern, SourceSpec,
                     beta_from_fwhm, effective_distance, magnification,
                     spectral_grid, talbot_length)
-from .montecarlo import McRun, sample_wavelength, simulate_scan
+from .montecarlo import McRun, simulate_scan
 from .oracle import fresnel_field, fresnel_intensity, oracle_slit_rate
 from .propagation import carpet, intensity, polychromatic_rate, scan, slit_rate
 
@@ -24,7 +24,7 @@ __all__ = [
     "fourier_coefficient", "fresnel_field", "fresnel_intensity",
     "fringe_width_fraction", "intensity", "magnification",
     "oracle_slit_rate", "polychromatic_rate", "read_config_file",
-    "render_slm_mask", "revival_distance", "sample_wavelength", "scan",
-    "simulate_scan", "slit_rate", "spectral_grid", "talbot_length",
+    "render_slm_mask", "revival_distance", "scan", "simulate_scan",
+    "slit_rate", "spectral_grid", "talbot_length",
     "truncated_transmission", "visibility", "write_pgm",
 ]

@@ -46,7 +46,9 @@ def _add_common(sub: argparse.ArgumentParser, default_out=None) -> None:
     sub.add_argument("--out", metavar="PATH", default=default_out,
                      help=out_help)
     sub.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="worker threads (default: $TALBOT_SIM_THREADS or 1)")
+                     help="thread count, checked to be >= 1 (default: "
+                          "$TALBOT_SIM_THREADS or 1); the computation runs "
+                          "on one thread and does not depend on it")
     for key in CONFIG_KEYS:
         sub.add_argument("--" + key.replace("_", "-"), dest="key_" + key,
                          metavar="VALUE", help=KEY_HELP[key])
@@ -74,12 +76,25 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return build_config(file_values, _overrides(args))
 
 
-def _threads(args: argparse.Namespace) -> int:
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _check_threads(args: argparse.Namespace) -> None:
+    """Validate --threads / $TALBOT_SIM_THREADS; the count is not used."""
     n = args.threads
     if n is None:
         text = os.environ.get("TALBOT_SIM_THREADS", "").strip()
         if not text:
-            return 1
+            return
         try:
             n = int(text)
         except ValueError:
@@ -87,7 +102,6 @@ def _threads(args: argparse.Namespace) -> int:
                               f"got {text!r}") from None
     if n < 1:
         raise ConfigError("thread count must be >= 1")
-    return n
 
 
 def _spectral_comments(args: argparse.Namespace) -> list[str]:
@@ -97,9 +111,9 @@ def _spectral_comments(args: argparse.Namespace) -> list[str]:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    _check_threads(args)
     pattern = scan(cfg.source(), cfg.grating(), cfg.detection(),
-                   samples=args.spectral_samples, span=args.spectral_span,
-                   threads=_threads(args))
+                   samples=args.spectral_samples, span=args.spectral_span)
     comments = echo_lines(cfg) + _spectral_comments(args) + [
         f"# magnification: {fmt_exact(pattern.meta['magnification'])}",
         f"# abscissa: {pattern.meta['abscissa']}",
@@ -110,6 +124,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_carpet(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    _check_threads(args)
     lam = parse_length(args.wavelength) if args.wavelength else cfg.lambda0
     lt = talbot_length(cfg.d, lam)
     x_lo = parse_length(args.x_min) if args.x_min else -cfg.d
@@ -119,7 +134,7 @@ def cmd_carpet(args: argparse.Namespace) -> int:
     carp = carpet(cfg.source(), cfg.grating(),
                   np.linspace(x_lo, x_hi, args.x_count),
                   np.linspace(z_lo, z_hi, args.z_count),
-                  lam=lam, norm=args.norm, threads=_threads(args))
+                  lam=lam, norm=args.norm)
     comments = echo_lines(cfg) + [
         f"# wavelength: {fmt_exact(lam)}",
         f"# norm: {args.norm}",
@@ -173,10 +188,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    _check_threads(args)
     source, grating = cfg.source(), cfg.grating()
     pattern = scan(source, grating, cfg.detection(),
-                   samples=args.spectral_samples, span=args.spectral_span,
-                   threads=_threads(args))
+                   samples=args.spectral_samples, span=args.spectral_span)
     period = grating.d * pattern.meta["magnification"]
     z_lo = parse_length(args.z_lo) if args.z_lo else 0.8 * cfg.z
     z_hi = parse_length(args.z_hi) if args.z_hi else 1.3 * cfg.z
@@ -217,14 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="left edge of the x raster (default: -d)")
     p_carpet.add_argument("--x-max", metavar="VALUE",
                           help="right edge of the x raster (default: d)")
-    p_carpet.add_argument("--x-count", type=int, default=256, metavar="N",
-                          help="x samples (default 256)")
+    p_carpet.add_argument("--x-count", type=_positive_int, default=256,
+                          metavar="N", help="x samples (default 256)")
     p_carpet.add_argument("--z-min", metavar="VALUE",
                           help="nearest plane (default: d*d/lambda/50)")
     p_carpet.add_argument("--z-max", metavar="VALUE",
                           help="farthest plane (default: 2*d*d/lambda)")
-    p_carpet.add_argument("--z-count", type=int, default=128, metavar="N",
-                          help="z samples (default 128)")
+    p_carpet.add_argument("--z-count", type=_positive_int, default=128,
+                          metavar="N", help="z samples (default 128)")
     p_carpet.add_argument("--norm", default=NORM_RAW,
                           choices=(NORM_RAW, NORM_COLUMN_MAX_ONE),
                           help="value scaling (default raw)")
@@ -266,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="first probe position (default: -d)")
     p_oracle.add_argument("--x-max", metavar="VALUE",
                           help="last probe position (default: d)")
-    p_oracle.add_argument("--points", type=int, default=129, metavar="N",
-                          help="probe positions (default 129)")
+    p_oracle.add_argument("--points", type=_positive_int, default=129,
+                          metavar="N", help="probe positions (default 129)")
     p_oracle.add_argument("--max-steps", type=int,
                           default=DEFAULT_MAX_WINDOWS, metavar="N",
                           help="cap on the open grating windows integrated "

@@ -46,22 +46,6 @@ def point_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(index))
 
 
-def sample_wavelength(source: SourceSpec, rng: np.random.Generator) -> float:
-    """Draw one wavelength from the source line.
-
-    The spectral weight exp(-(l-l0)^2/beta^2) is a normal law with
-    sigma = beta/sqrt(2); non-positive draws are rejected so the result
-    is always a usable wavelength.
-    """
-    if source.beta == 0.0:
-        return source.lambda0
-    sigma = source.beta / np.sqrt(2.0)
-    while True:
-        lam = rng.normal(source.lambda0, sigma)
-        if lam > 0:
-            return float(lam)
-
-
 def simulate_scan(run: McRun) -> Pattern:
     """Simulate counting at every scan position.
 

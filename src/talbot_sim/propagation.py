@@ -1,17 +1,18 @@
 """Closed-form near-field propagation of the grating field.
 
 Everything here comes from the harmonic expansion of the grating.  The
-intensity is |psi|^2 of the field amplitude psi, a single sum over
-diffraction orders n.  The slit-integrated count rate is a double sum
-over orders (n, m); its terms are accumulated pairwise over
-(n, m)/(m, n) partners, which keeps the result exactly real, in a fixed
-enumeration order so reruns are bit identical.
+field amplitude is psi(x) = sum_n c_n exp(i*n*a*x) with the chirped
+coefficients c_n = A_n exp(i*n^2*b).  The intensity is |psi|^2, a single
+sum over orders per position.  Slit and spectral averages act on the
+intensity harmonics C_q = sum_n c_{n+q} conj(c_n), q = 0..2*trunc, the
+autocorrelation of c: one FFT per wavelength sums them, the spectral
+weights and the slit factor apply to them once, and a position then costs
+2*trunc cosines.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,47 +22,24 @@ from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW, Carpet,
                     DetectionSpec, GratingSpec, Pattern, SourceSpec,
                     effective_distance, magnification, spectral_grid)
 
-# Above this phase magnitude the argument is folded into [0, 2pi) before
-# the cosine; raw evaluation loses accuracy once the argument dwarfs 2pi.
-_FOLD_THRESHOLD = 1e6
-
-# Cap on the scratch matrix (order or pair count x positions) in doubles.
+# Cap on the scratch matrix (orders or harmonics x positions) in doubles.
 _CHUNK_BUDGET = 4_000_000
 
 
-def _fold(phase: np.ndarray) -> np.ndarray:
-    big = np.abs(phase) > _FOLD_THRESHOLD
-    if np.any(big):
-        phase = np.where(big, np.remainder(phase, 2.0 * math.pi), phase)
-    return phase
+def _harmonics(grating: GratingSpec, b: float) -> np.ndarray:
+    """Intensity harmonics C_q = sum_n c_{n+q} conj(c_n) for q = 0..2*trunc.
 
-
-def _pair_arrays(g: GratingSpec):
-    """Upper-triangle order pairs (n < m) and the diagonal power sum.
-
-    Returns (diag, dn, db, w): diag = sum A_n^2, and per pair the order
-    difference m-n, the difference of squares m^2-n^2, and the combined
-    weight 2*A_n*A_m.
+    c_n = A_n exp(i*n^2*b).  The zero-padded FFT holds at least 2*(2*trunc+1)
+    points, so the circular autocorrelation |F|^2 does not wrap.  A_-n = A_n
+    makes c even in n and so C_q real; the rounding residue of the imaginary
+    part is dropped.
     """
-    ns, amps = coefficient_table(g)
-    diag = float(np.dot(amps, amps))
-    i, j = np.triu_indices(ns.size, k=1)
-    dn = (ns[j] - ns[i]).astype(float)
-    db = (ns[j] ** 2 - ns[i] ** 2).astype(float)
-    w = 2.0 * amps[i] * amps[j]
-    return diag, dn, db, w
-
-
-def _pair_cosine_sum(xs: np.ndarray, freq: np.ndarray, offset: np.ndarray,
-                     w: np.ndarray) -> np.ndarray:
-    """sum_k w[k] * cos(freq[k]*x + offset[k]), chunked over x."""
-    out = np.empty_like(xs)
-    block = max(1, _CHUNK_BUDGET // max(1, freq.size))
-    for lo in range(0, xs.size, block):
-        hi = min(lo + block, xs.size)
-        phase = np.multiply.outer(freq, xs[lo:hi]) + offset[:, None]
-        out[lo:hi] = w @ np.cos(_fold(phase))
-    return out
+    ns, amps = coefficient_table(grating)
+    chirped = amps * np.exp(1j * b * (ns * ns))
+    size = 1 << (2 * ns.size - 1).bit_length()
+    spectrum = np.fft.fft(chirped, size)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    return np.fft.ifft(power)[:ns.size].real
 
 
 def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
@@ -104,62 +82,52 @@ def slit_rate(x, lam: float, source: SourceSpec, grating: GratingSpec,
               det: DetectionSpec):
     """Monochromatic count rate behind a slit spanning [x, x + slit_width].
 
-    Integrating each intensity harmonic across the slit turns the pair
-    term into sin(q*a*D/2)/(q*a) times the phase factor at the slit
-    center; the diagonal takes that factor's q -> 0 limit D/2.
+    The one-node case of polychromatic_rate.
     """
-    if lam <= 0:
-        raise DomainError("wavelength must be positive")
-    width = det.slit_width
-    zeff = effective_distance(det.z, source.z0)
-    mag = magnification(det.z, source.z0)
-    a = grating.k_d / mag
-    b = math.pi * lam * zeff / (grating.d ** 2)
-    diag, dn, db, w = _pair_arrays(grating)
-    sinc_factor = np.sin(dn * a * width / 2.0) / (dn * a)
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    centered = xs + width / 2.0
-    vals = diag * width / 2.0 + _pair_cosine_sum(
-        centered, dn * a, db * b, w * sinc_factor)
-    if np.isscalar(x):
-        return float(vals[0])
-    return vals.reshape(np.shape(x))
+    return polychromatic_rate(x, source, grating, det, grid=[(lam, 1.0)])
 
 
 def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
                        det: DetectionSpec, grid=None, samples: int = 41,
-                       span: float = 3.0, threads: int = 1):
-    """Spectrum-weighted slit rate.
+                       span: float = 3.0):
+    """Spectrum-weighted count rate behind a slit spanning [x, x + slit_width].
 
     grid is a list of (wavelength, weight) nodes; by default it is the
-    source's own spectral grid.  Weights are applied and summed in node
-    order, so the result does not depend on the thread count.
+    source's own spectral grid.  The weighted harmonics are summed in node
+    order.  Integrating harmonic q across the slit gives sin(q*a*D/2)/(q*a)
+    times its phase factor at the slit center; q = 0 takes the limit D/2.
     """
     if grid is None:
         grid = spectral_grid(source, samples=samples, span=span)
     if len(grid) == 0:
         raise DomainError("spectral grid is empty")
-
-    def one(node):
-        lam, weight = node
-        return weight * np.asarray(slit_rate(x, lam, source, grating, det))
-
-    if threads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, grid))
-    else:
-        parts = [one(node) for node in grid]
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
+    width = det.slit_width
+    zeff = effective_distance(det.z, source.z0)
+    a = grating.k_d / magnification(det.z, source.z0)
+    harmonics = np.zeros(2 * grating.trunc + 1)
+    for lam, weight in grid:
+        if lam <= 0:
+            raise DomainError("wavelength must be positive")
+        b = math.pi * lam * zeff / (grating.d ** 2)
+        harmonics += weight * _harmonics(grating, b)
+    qa = np.arange(1, harmonics.size) * a
+    weights = 2.0 * harmonics[1:] * np.sin(qa * width / 2.0) / qa
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    centered = xs + width / 2.0
+    vals = np.empty_like(xs)
+    block = max(1, _CHUNK_BUDGET // max(1, qa.size))
+    for lo in range(0, xs.size, block):
+        hi = min(lo + block, xs.size)
+        vals[lo:hi] = harmonics[0] * width / 2.0 + np.cos(
+            np.multiply.outer(centered[lo:hi], qa)) @ weights
     if np.isscalar(x):
-        return float(total)
-    return total
+        return float(vals[0])
+    return vals.reshape(np.shape(x))
 
 
 def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
-         samples: int = 41, span: float = 3.0, norm: str = NORM_MAX_ONE,
-         threads: int = 1) -> Pattern:
+         samples: int = 41, span: float = 3.0,
+         norm: str = NORM_MAX_ONE) -> Pattern:
     """Sweep the slit across the pattern and return it as a Pattern.
 
     The slit is swept while the grating stays put; positions are the
@@ -171,7 +139,7 @@ def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
         raise DomainError("scan range is empty")
     values = np.asarray(polychromatic_rate(
         positions, source, grating, det,
-        samples=samples, span=span, threads=threads), dtype=float)
+        samples=samples, span=span), dtype=float)
     meta = {
         "source": source,
         "grating": grating,
@@ -194,8 +162,7 @@ def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
 
 
 def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
-           lam: float | None = None, norm: str = NORM_RAW,
-           threads: int = 1) -> Carpet:
+           lam: float | None = None, norm: str = NORM_RAW) -> Carpet:
     """Monochromatic intensity on a full (z, x) raster.
 
     Row i holds the pattern at z_grid[i].  With norm="per-column-max-one"
@@ -205,16 +172,8 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
         lam = source.lambda0
     xs = np.asarray(x_grid, dtype=float)
     zs = np.asarray(z_grid, dtype=float)
-
-    def one_row(z):
-        return np.asarray(intensity(xs, lam, source, grating, float(z)))
-
-    if threads > 1 and zs.size > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, zs))
-    else:
-        rows = [one_row(z) for z in zs]
-    values = np.vstack(rows)
+    values = np.vstack([intensity(xs, lam, source, grating, float(z))
+                        for z in zs])
     if norm == NORM_COLUMN_MAX_ONE:
         peaks = values.max(axis=0)
         if np.any(peaks <= 0):

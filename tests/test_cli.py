@@ -95,6 +95,22 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert main(["scan", "--out", str(tmp_path / "d.csv")] + FAST) == 2
 
 
+@pytest.mark.parametrize("argv", [["oracle", "--points", "0"],
+                                  ["carpet", "--x-count", "0"],
+                                  ["carpet", "--z-count", "-3"]],
+                         ids=["oracle-points", "carpet-x-count",
+                              "carpet-z-count"])
+def test_count_flags_reject_non_positive(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)] + FAST)
+    assert err.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.endswith(f"argument {argv[1]}: must be >= 1, "
+                            f"got {argv[2]}")
+    assert not out.exists()
+
+
 def test_mc_requires_seed(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["mc", "--out", str(tmp_path / "mc.csv")])

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from talbot_sim import (DomainError, McRun, beta_from_fwhm, sample_wavelength,
-                        simulate_scan)
+from talbot_sim import DomainError, McRun, beta_from_fwhm, simulate_scan
 from talbot_sim.montecarlo import RNG_ID, point_rng
 
-from helpers import (FWHM, LAMBDA0, baseline_detection, baseline_grating,
-                     plane_source, point_source)
+from helpers import (FWHM, baseline_detection, baseline_grating,
+                     point_source)
 
 
 def _run(seed=7, events=1000.0, f=0.3, beta=None, **kw):
@@ -17,33 +16,6 @@ def _run(seed=7, events=1000.0, f=0.3, beta=None, **kw):
     return McRun(seed=seed, events_per_point=events,
                  source=src, grating=baseline_grating(f=f),
                  scan=baseline_detection(), **kw)
-
-
-def test_sample_wavelength_monochromatic_is_center_line():
-    rng = np.random.default_rng(0)
-    src = plane_source(beta=0.0)
-    assert sample_wavelength(src, rng) == LAMBDA0
-
-
-def test_sample_wavelength_moments():
-    # the line weight exp(-(dl/beta)**2) is a normal law with
-    # sigma = beta/sqrt(2); check both moments on a large frozen draw
-    beta = beta_from_fwhm(FWHM)
-    src = plane_source(beta=beta)
-    rng = np.random.Generator(np.random.Philox(12345))
-    draws = np.array([sample_wavelength(src, rng) for _ in range(100_000)])
-    sigma = beta / np.sqrt(2.0)
-    assert abs(draws.mean() - LAMBDA0) < 4 * sigma / np.sqrt(draws.size)
-    assert draws.std() == pytest.approx(sigma, rel=0.03)
-
-
-def test_sample_wavelength_always_positive():
-    # a line much wider than its center wavelength exercises the
-    # rejection branch; draws must still be physical
-    src = plane_source(lambda0=1e-9, beta=1e-6)
-    rng = np.random.Generator(np.random.Philox(99))
-    draws = [sample_wavelength(src, rng) for _ in range(2000)]
-    assert min(draws) > 0
 
 
 def test_simulate_scan_deterministic_per_seed():

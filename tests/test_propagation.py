@@ -2,18 +2,19 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.integrate
+import scipy.special
 
-from talbot_sim import (DomainError, GratingSpec, carpet, effective_distance,
-                        fresnel_intensity, intensity, magnification,
-                        polychromatic_rate, scan, slit_rate,
+from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
+                        effective_distance, fresnel_intensity, intensity,
+                        magnification, polychromatic_rate, scan, slit_rate,
                         truncated_transmission, visibility)
 from talbot_sim.grating import coefficient_table
 
-from helpers import (D, LAMBDA0, TALBOT, Z0, baseline_detection,
+from helpers import (D, FWHM, LAMBDA0, TALBOT, Z0, baseline_detection,
                      baseline_grating, plane_source, point_source)
 
 
@@ -123,17 +124,24 @@ def test_slit_rate_narrow_slit_approaches_intensity():
 
 
 def test_slit_rate_matches_quadrature_of_intensity():
-    # closed-form slit integral against Simpson quadrature of the
-    # intensity over the same interval [x, x + slit_width]
-    g = baseline_grating(f=0.3)
-    src = point_source()
+    # closed-form slit integral against Gauss-Legendre quadrature of the
+    # intensity over the same interval [x, x + slit_width], with enough
+    # nodes to resolve the highest harmonic 2*trunc; the cases run from
+    # the baseline to the fine grating (trunc 400) and f = 0.01 (trunc 800)
     det = baseline_detection()
-    for x in (-300e-6, -41e-6, 120e-6):
-        grid = np.linspace(x, x + det.slit_width, 8193)
-        vals = intensity(grid, LAMBDA0, src, g, det.z)
-        quad = scipy.integrate.simpson(vals, x=grid) / 2
-        rate = slit_rate(x, LAMBDA0, src, g, det)
-        assert rate == pytest.approx(quad, rel=1e-7)
+    cases = [(baseline_grating(f=0.3), point_source()),
+             (GratingSpec(d=1.8e-3, f=0.02, trunc=400), point_source()),
+             (baseline_grating(f=0.01), point_source())]
+    for g, src in cases:
+        a = g.k_d / magnification(det.z, src.z0)
+        nodes = int(0.7 * 2 * g.trunc * a * det.slit_width) + 48
+        t, w = scipy.special.roots_legendre(nodes)
+        for x in (-300e-6, -41e-6, 120e-6):
+            grid = x + det.slit_width / 2 * (1 + t)
+            vals = intensity(grid, LAMBDA0, src, g, det.z)
+            quad = det.slit_width / 4 * float(w @ vals)
+            rate = slit_rate(x, LAMBDA0, src, g, det)
+            assert rate == pytest.approx(quad, rel=1e-10)
 
 
 def test_polychromatic_rate_is_weighted_sum():
@@ -173,14 +181,21 @@ def test_spectral_averaging_never_raises_visibility(f):
     assert visibility(poly) <= visibility(mono) + 1e-9
 
 
-def test_scan_thread_count_does_not_change_values():
-    g = baseline_grating(f=0.3)
-    src = point_source(beta=30e-9)
-    det = baseline_detection()
-    a = scan(src, g, det, threads=1)
-    b = scan(src, g, det, threads=4)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.positions, b.positions)
+def test_scan_small_open_fraction_stays_small_in_memory():
+    # f = 0.001 keeps 8000 orders (16001 coefficients) at 41 wavelengths;
+    # the harmonic engine needs O(trunc * positions) scratch, not the
+    # trunc**2 order pairs
+    g = baseline_grating(f=0.001)
+    assert g.trunc == 8000
+    src = point_source(beta=beta_from_fwhm(FWHM))
+    tracemalloc.start()
+    try:
+        pat = scan(src, g, baseline_detection())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pat.meta["raw_max"] > 0
+    assert peak < 100e6
 
 
 def test_scan_normalization_and_meta():
@@ -252,12 +267,3 @@ def test_carpet_per_column_normalization():
     with pytest.raises(DomainError):
         carpet(src, g, xs, zs, norm="percent")
 
-
-def test_carpet_threads_bitwise_identical():
-    g = baseline_grating(f=0.3)
-    src = plane_source()
-    xs = np.linspace(-D, D, 17)
-    zs = np.linspace(0.04, 0.32, 5)
-    a = carpet(src, g, xs, zs, threads=1)
-    b = carpet(src, g, xs, zs, threads=3)
-    assert np.array_equal(a.values, b.values)
