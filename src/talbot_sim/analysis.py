@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError
-from .grating import truncated_transmission
-from .model import GratingSpec, Pattern, SourceSpec, magnification
-from .propagation import intensity
+from .model import GratingSpec, Pattern, SourceSpec, effective_distance
+from .propagation import _CHUNK_BUDGET, _fft_size, _harmonics
+
+# Scratch doubles per scored plane and per FFT point: the complex chirp,
+# spectrum and autocorrelation rows and their real temporaries (tracemalloc
+# reads about 9 at trunc 8000).
+_DOUBLES_PER_POINT = 10
 
 
 def visibility(pattern: Pattern) -> float:
@@ -67,80 +72,108 @@ def fringe_width_fraction(pattern: Pattern, period: float) -> float:
     return float(np.mean(widths)) / period
 
 
-def _revival_score(z: float, lam: float, source: SourceSpec,
-                   grating: GratingSpec, samples_per_period: int,
-                   periods: int) -> float:
-    """Best normalized cross-correlation between the pattern at z and the
-    (magnified) grating image, over all lateral shifts within a period."""
-    mag = magnification(z, source.z0)
-    s = samples_per_period
-    xs = (np.arange(periods * s) / s) * grating.d * mag
-    pat = intensity(xs, lam, source, grating, z)
-    ref = truncated_transmission(xs / mag, grating) ** 2
-    # both signals repeat exactly every s samples; fold before correlating
-    pat = pat.reshape(periods, s).mean(axis=0)
-    ref = ref.reshape(periods, s).mean(axis=0)
-    # a structureless signal leaves only rounding noise after mean
-    # subtraction, which must not be normalized back up to order one
-    if (pat.std() < 1e-9 * max(float(np.abs(pat).max()), 1e-300)
-            or ref.std() < 1e-9 * max(float(np.abs(ref).max()), 1e-300)):
-        return 0.0
-    pat = pat - pat.mean()
-    ref = ref - ref.mean()
-    norm = np.sqrt(float(pat @ pat) * float(ref @ ref))
-    rolled = np.stack([np.roll(ref, shift) for shift in range(s)])
-    return float((rolled @ pat).max() / norm)
+def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
+    """Return scores(zs): for each distance in zs, the best normalized
+    cross-correlation between the pattern there and the squared grating
+    profile, over all lateral shifts within a period.
+
+    Both signals are real, even and periodic, so they are their harmonics:
+    C_q = _harmonics(grating, b) for the plane at z, with
+    b = pi*lam*z_eff/d^2, and R_q = C_q at b = 0 for the profile
+    (Berry & Klein, J. Mod. Opt. 43, 2139, 1996).  The magnification only
+    stretches the pattern and drops out.  The mean-free correlation at
+    shift phi (in periods) is sum_{q>=1} C_q R_q cos(2*pi*q*phi) over
+    sqrt(sum C_q^2 * sum R_q^2); one irfft per plane evaluates it on a
+    grid of at least 256 shifts that holds harmonic 2*trunc below its
+    Nyquist bin.  A plane or profile whose standard deviation
+    sqrt(2*sum C_q^2) is at rounding level against its mean C_0 scores 0.
+    Planes are scored in chunks that keep the scratch within _CHUNK_BUDGET
+    doubles.
+    """
+    size = max(256, _fft_size(grating))
+    rows = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * size))
+    ref = _harmonics(grating, 0.0)
+    ref_norm = float(_structure(ref))
+
+    def scores(zs) -> np.ndarray:
+        zeff = np.array([effective_distance(float(z), source.z0) for z in zs])
+        bs = math.pi * lam * zeff / (grating.d ** 2)
+        out = np.zeros(bs.size)
+        if ref_norm == 0.0:
+            return out
+        for lo in range(0, bs.size, rows):
+            harm = _harmonics(grating, bs[lo:lo + rows])
+            norm = _structure(harm) * ref_norm
+            cross = harm * ref
+            cross[:, 0] = 0.0
+            # irfft returns (2/size) * sum_q cross_q cos(2*pi*q*m/size)
+            peak = np.fft.irfft(cross, size).max(axis=1) * (size / 2.0)
+            np.divide(peak, norm, out=out[lo:lo + rows], where=norm > 0.0)
+        return out
+
+    return scores
 
 
-def _zoom(score, center: float, radius: float, lo: float, hi: float,
-          rounds: int = 5, points: int = 9) -> tuple[float, float]:
-    """Shrinking grid search around center; returns (z, score)."""
-    best_z, best_s = center, score(center)
-    for _ in range(rounds):
-        grid = np.linspace(max(lo, best_z - radius),
-                           min(hi, best_z + radius), points)
-        vals = [score(z) for z in grid]
+def _structure(harm: np.ndarray) -> np.ndarray:
+    """sqrt(sum_{q>=1} C_q^2) along the last axis, or 0 where the signal's
+    standard deviation sqrt(2*sum C_q^2) is rounding noise against C_0."""
+    norm = np.sqrt(np.sum(harm[..., 1:] ** 2, axis=-1))
+    return np.where(math.sqrt(2.0) * norm <= 1e-9 * np.abs(harm[..., 0]),
+                    0.0, norm)
+
+
+def _zoom(scores, z: float, score: float, radius: float, lo: float,
+          hi: float, xtol: float = 1e-12, points: int = 9) -> float:
+    """Shrinking grid search around z, which has already scored score.
+
+    Each round scores points distances within radius of z in one batch,
+    moves z to the best of them if it beats score, and cuts the radius by
+    4, until the radius is under xtol.  Returns the final z.
+    """
+    while radius >= xtol:
+        grid = np.linspace(max(lo, z - radius), min(hi, z + radius), points)
+        vals = scores(grid)
         i = int(np.argmax(vals))
-        if vals[i] > best_s:
-            best_z, best_s = float(grid[i]), float(vals[i])
+        if vals[i] > score:
+            z, score = float(grid[i]), float(vals[i])
         radius /= 4.0
-    return best_z, best_s
+    return z
 
 
 def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
-                     z_lo: float, z_hi: float, steps: int = 64,
-                     samples_per_period: int = 256,
-                     periods: int = 2) -> float:
+                     z_lo: float, z_hi: float, steps: int = 64) -> float:
     """Distance in [z_lo, z_hi] where the pattern best reproduces the
     grating image (allowing a lateral shift, so half-period-shifted
     recurrences count as revivals).
 
-    The correlation score rings near a revival (defocus ripples of the
-    sharp image leave a narrow main lobe between tall sidelobes), so a
-    single local refinement is not trustworthy.  Dense windows around
-    the top few distinct coarse candidates are swept, the global best
-    is zoomed, and a golden-section pass polishes the result.  Raise
-    steps for very high truncation orders, which narrow the main lobe.
-    A flat score landscape (for instance a fully open grating) raises
-    DomainError.
+    Each plane is scored from its intensity harmonics (see
+    _revival_scorer), at O(trunc log trunc) per plane.  The correlation
+    score rings near a revival (defocus ripples of the sharp image leave a
+    narrow main lobe between tall sidelobes), so a single local refinement
+    is not trustworthy.  The steps-point coarse grid is scored in one
+    batch, dense 65-point windows around the top four distinct coarse
+    candidates in a second, and the global best is then zoomed: 9 points a
+    round, the radius starting at an eighth of the coarse spacing and
+    shrinking 4x a round until it is under 1e-12 m.  Raise steps for very
+    high truncation orders, which narrow the main lobe.  A flat score
+    landscape (for instance a fully open grating) raises DomainError.
     """
+    if lam <= 0:
+        raise DomainError("wavelength must be positive")
     if not 0 < z_lo < z_hi:
         raise DomainError("need 0 < z_lo < z_hi")
     if steps < 16:
         raise DomainError("steps must be >= 16")
 
-    def score(z):
-        return _revival_score(z, lam, source, grating, samples_per_period,
-                              periods)
-
+    scores = _revival_scorer(lam, source, grating)
     zs = np.linspace(z_lo, z_hi, steps)
-    scores = np.array([score(z) for z in zs])
-    if scores.max() - scores.min() < 1e-6:
+    coarse = scores(zs)
+    if coarse.max() - coarse.min() < 1e-6:
         raise DomainError("no revival found: correlation landscape is flat")
     spacing = (z_hi - z_lo) / (steps - 1)
 
     # distinct coarse candidates: grid maxima at least two steps apart
-    order = np.argsort(scores)[::-1]
+    order = np.argsort(coarse)[::-1]
     candidates: list[int] = []
     for idx in order:
         if all(abs(idx - c) >= 2 for c in candidates):
@@ -148,31 +181,13 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
         if len(candidates) == 4:
             break
 
-    best_z, best_s = float(zs[order[0]]), float(scores[order[0]])
-    for idx in candidates:
-        lo = max(z_lo, zs[idx] - 2.0 * spacing)
-        hi = min(z_hi, zs[idx] + 2.0 * spacing)
-        dense = np.linspace(lo, hi, 65)
-        vals = [score(z) for z in dense]
-        i = int(np.argmax(vals))
-        if vals[i] > best_s:
-            best_z, best_s = float(dense[i]), float(vals[i])
-
-    dense_res = 4.0 * spacing / 64.0
-    z_c, s_c = _zoom(score, best_z, 2.0 * dense_res, z_lo, z_hi, rounds=4)
-    if s_c > best_s:
-        best_z, best_s = z_c, s_c
-
-    # golden-section polish in a narrow bracket around the winner
-    h = max(spacing / 256.0, 1e-9)
-    a, b = max(z_lo, best_z - h), min(z_hi, best_z + h)
-    if a < best_z < b:
-        try:
-            res = optimize.minimize_scalar(
-                lambda z: -score(z), method="golden", bracket=(a, best_z, b),
-                options={"xtol": 1e-12})
-            if a <= res.x <= b and -res.fun >= best_s:
-                best_z = float(res.x)
-        except ValueError:
-            pass
-    return best_z
+    best_z, best_s = float(zs[order[0]]), float(coarse[order[0]])
+    dense = np.concatenate([
+        np.linspace(max(z_lo, zs[idx] - 2.0 * spacing),
+                    min(z_hi, zs[idx] + 2.0 * spacing), 65)
+        for idx in candidates])
+    vals = scores(dense)
+    i = int(np.argmax(vals))
+    if vals[i] > best_s:
+        best_z, best_s = float(dense[i]), float(vals[i])
+    return _zoom(scores, best_z, best_s, spacing / 8.0, z_lo, z_hi)

@@ -26,20 +26,27 @@ from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW, Carpet,
 _CHUNK_BUDGET = 4_000_000
 
 
-def _harmonics(grating: GratingSpec, b: float) -> np.ndarray:
+def _fft_size(grating: GratingSpec) -> int:
+    """Length of the zero-padded FFT in _harmonics: the smallest power of
+    two above 4*trunc + 1, which holds harmonic 2*trunc without wrapping."""
+    return 1 << (4 * grating.trunc + 1).bit_length()
+
+
+def _harmonics(grating: GratingSpec, b) -> np.ndarray:
     """Intensity harmonics C_q = sum_n c_{n+q} conj(c_n) for q = 0..2*trunc.
 
-    c_n = A_n exp(i*n^2*b).  The zero-padded FFT holds at least 2*(2*trunc+1)
-    points, so the circular autocorrelation |F|^2 does not wrap.  A_-n = A_n
-    makes c even in n and so C_q real; the rounding residue of the imaginary
-    part is dropped.
+    c_n = A_n exp(i*n^2*b).  b may be a scalar or an array; each value of
+    b gives one row of C_q, and the FFTs run row-wise along the last axis.
+    The zero-padded FFT holds at least 2*(2*trunc+1) points, so the
+    circular autocorrelation |F|^2 does not wrap.  A_-n = A_n makes c even
+    in n and so C_q real; the rounding residue of the imaginary part is
+    dropped.
     """
     ns, amps = coefficient_table(grating)
-    chirped = amps * np.exp(1j * b * (ns * ns))
-    size = 1 << (2 * ns.size - 1).bit_length()
-    spectrum = np.fft.fft(chirped, size)
+    chirped = amps * np.exp(np.multiply.outer(1j * np.asarray(b), ns * ns))
+    spectrum = np.fft.fft(chirped, _fft_size(grating))
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    return np.fft.ifft(power)[:ns.size].real
+    return np.fft.ifft(power)[..., :ns.size].real
 
 
 def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
@@ -172,6 +179,8 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
         lam = source.lambda0
     xs = np.asarray(x_grid, dtype=float)
     zs = np.asarray(z_grid, dtype=float)
+    if zs.size == 0:
+        raise DomainError("carpet z grid is empty")
     values = np.vstack([intensity(xs, lam, source, grating, float(z))
                         for z in zs])
     if norm == NORM_COLUMN_MAX_ONE:

@@ -8,8 +8,10 @@ detector slit 115 um wide stepped by 12 um at z = 160 mm.
 import math
 
 import mpmath as mp
+import numpy as np
 
-from talbot_sim import DetectionSpec, GratingSpec, SourceSpec
+from talbot_sim import (DetectionSpec, GratingSpec, SourceSpec, intensity,
+                        magnification, truncated_transmission)
 
 LAMBDA0 = 810e-9
 D = 360e-6
@@ -71,3 +73,29 @@ def mp_fresnel_field(x, lam, source, g, z, dps=30):
             if b > a:
                 total += mp.quad(integrand, mp.linspace(a, b, 5))
         return complex(mp.sqrt(1j / lam) / z * total)
+
+
+def sampled_revival_score(z, lam, source, g, samples_per_period=256,
+                          periods=2):
+    """Revival score by sampling: the best normalized cross-correlation
+    between the pattern at z and the magnified squared grating profile,
+    over every circular shift of a samples_per_period grid, built as a
+    stack of rolled copies of the profile."""
+    mag = magnification(z, source.z0)
+    s = samples_per_period
+    xs = (np.arange(periods * s) / s) * g.d * mag
+    pat = intensity(xs, lam, source, g, z)
+    ref = truncated_transmission(xs / mag, g) ** 2
+    # both signals repeat exactly every s samples; fold before correlating
+    pat = pat.reshape(periods, s).mean(axis=0)
+    ref = ref.reshape(periods, s).mean(axis=0)
+    # a structureless signal leaves only rounding noise after mean
+    # subtraction, which must not be normalized back up to order one
+    if (pat.std() < 1e-9 * max(float(np.abs(pat).max()), 1e-300)
+            or ref.std() < 1e-9 * max(float(np.abs(ref).max()), 1e-300)):
+        return 0.0
+    pat = pat - pat.mean()
+    ref = ref - ref.mean()
+    norm = np.sqrt(float(pat @ pat) * float(ref @ ref))
+    rolled = np.stack([np.roll(ref, shift) for shift in range(s)])
+    return float((rolled @ pat).max() / norm)

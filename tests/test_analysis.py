@@ -1,14 +1,20 @@
 """Pattern analysis: visibility, fringe widths, revival search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talbot_sim import (DomainError, Pattern, SourceSpec,
                         binary_transmission, fringe_width_fraction,
                         revival_distance, scan, visibility)
+from talbot_sim.analysis import _revival_scorer
 
 from helpers import (D, LAMBDA0, TALBOT, Z0, baseline_detection,
-                     baseline_grating, plane_source, point_source)
+                     baseline_grating, plane_source, point_source,
+                     sampled_revival_score)
 
 
 def _pattern(xs, vals):
@@ -123,3 +129,33 @@ def test_revival_rejects_bad_search_arguments():
         revival_distance(plane_source(), g, LAMBDA0, 0.18, 0.14, steps=16)
     with pytest.raises(DomainError):
         revival_distance(plane_source(), g, LAMBDA0, 0.0, 0.18, steps=16)
+    with pytest.raises(DomainError, match="wavelength"):
+        revival_distance(plane_source(), g, 0.0, 0.14, 0.18, steps=16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.floats(0.05, 0.95), trunc=st.integers(0, 63),
+       z0=st.one_of(st.none(), st.floats(0.5, 5.0)),
+       zs=st.lists(st.floats(0.05, 0.4), min_size=1, max_size=5))
+def test_harmonic_scores_match_sampled_correlation(f, trunc, z0, zs):
+    # up to trunc 63 harmonic 2*trunc stays below the Nyquist bin of the
+    # 256-sample grid, so both scorers see the same signal on the same
+    # shifts
+    g = baseline_grating(f=f, trunc=trunc)
+    src = SourceSpec(lambda0=LAMBDA0, z0=z0)
+    got = _revival_scorer(LAMBDA0, src, g)(zs)
+    want = [sampled_revival_score(z, LAMBDA0, src, g) for z in zs]
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_revival_small_open_fraction_stays_small_in_memory():
+    g = baseline_grating(f=0.001)
+    assert g.trunc == 8000
+    tracemalloc.start()
+    try:
+        z = revival_distance(point_source(), g, LAMBDA0, 0.128, 0.208)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.128 <= z <= 0.208
+    assert peak < 100e6

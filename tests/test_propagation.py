@@ -267,3 +267,8 @@ def test_carpet_per_column_normalization():
     with pytest.raises(DomainError):
         carpet(src, g, xs, zs, norm="percent")
 
+
+
+def test_carpet_rejects_empty_z_grid():
+    with pytest.raises(DomainError, match="z grid is empty"):
+        carpet(plane_source(), baseline_grating(), np.linspace(-D, D, 5), [])
