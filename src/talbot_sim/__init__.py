@@ -11,7 +11,7 @@ from .model import (Carpet, DetectionSpec, GratingSpec, Pattern, SourceSpec,
                     beta_from_fwhm, effective_distance, magnification,
                     spectral_grid, talbot_length)
 from .montecarlo import McRun, simulate_scan
-from .oracle import fresnel_field, fresnel_intensity, oracle_slit_rate
+from .oracle import fresnel_field, fresnel_intensity
 from .propagation import carpet, intensity, polychromatic_rate, scan, slit_rate
 
 __version__ = "0.1.0"
@@ -23,8 +23,8 @@ __all__ = [
     "binary_transmission", "build_config", "carpet", "effective_distance",
     "fourier_coefficient", "fresnel_field", "fresnel_intensity",
     "fringe_width_fraction", "intensity", "magnification",
-    "oracle_slit_rate", "polychromatic_rate", "read_config_file",
-    "render_slm_mask", "revival_distance", "scan", "simulate_scan",
+    "polychromatic_rate", "read_config_file", "render_slm_mask",
+    "revival_distance", "scan", "simulate_scan",
     "slit_rate", "spectral_grid", "talbot_length",
     "truncated_transmission", "visibility", "write_pgm",
 ]

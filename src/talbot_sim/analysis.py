@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,11 @@ from .propagation import _CHUNK_BUDGET, _fft_size, _harmonics
 # spectrum and autocorrelation rows and their real temporaries (tracemalloc
 # reads about 9 at trunc 8000).
 _DOUBLES_PER_POINT = 10
+
+# Orders kept while the revival search locates the main lobe: the lobe
+# narrows roughly as 1/trunc^2, and the default coarse grid stops
+# resolving it above about 80 orders (at 200 it lands on a sidelobe).
+_SEARCH_TRUNC = 80
 
 
 def visibility(pattern: Pattern) -> float:
@@ -154,9 +160,12 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
     batch, dense 65-point windows around the top four distinct coarse
     candidates in a second, and the global best is then zoomed: 9 points a
     round, the radius starting at an eighth of the coarse spacing and
-    shrinking 4x a round until it is under 1e-12 m.  Raise steps for very
-    high truncation orders, which narrow the main lobe.  A flat score
-    landscape (for instance a fully open grating) raises DomainError.
+    shrinking 4x a round until it is under 1e-12 m.  The main lobe narrows
+    roughly as 1/trunc^2, so above _SEARCH_TRUNC orders these three stages
+    score the grating truncated at _SEARCH_TRUNC, whose revival plane is
+    the same, and a second zoom from the same radius finishes at the full
+    trunc.  A flat score landscape (for instance a fully open grating)
+    raises DomainError.
     """
     if lam <= 0:
         raise DomainError("wavelength must be positive")
@@ -165,7 +174,10 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
     if steps < 16:
         raise DomainError("steps must be >= 16")
 
-    scores = _revival_scorer(lam, source, grating)
+    search_grating = grating
+    if grating.trunc > _SEARCH_TRUNC:
+        search_grating = dataclasses.replace(grating, trunc=_SEARCH_TRUNC)
+    scores = _revival_scorer(lam, source, search_grating)
     zs = np.linspace(z_lo, z_hi, steps)
     coarse = scores(zs)
     if coarse.max() - coarse.min() < 1e-6:
@@ -190,4 +202,11 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
     i = int(np.argmax(vals))
     if vals[i] > best_s:
         best_z, best_s = float(dense[i]), float(vals[i])
-    return _zoom(scores, best_z, best_s, spacing / 8.0, z_lo, z_hi)
+    best_z = _zoom(scores, best_z, best_s, spacing / 8.0, z_lo, z_hi)
+    if search_grating is grating:
+        return best_z
+    # the capped optimum lies inside the narrower full-trunc main lobe, and
+    # _zoom only accepts better scores, so it cannot leave that lobe
+    scores = _revival_scorer(lam, source, grating)
+    return _zoom(scores, best_z, float(scores([best_z])[0]), spacing / 8.0,
+                 z_lo, z_hi)

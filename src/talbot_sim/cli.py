@@ -111,7 +111,6 @@ def _spectral_comments(args: argparse.Namespace) -> list[str]:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _check_threads(args)
     pattern = scan(cfg.source(), cfg.grating(), cfg.detection(),
                    samples=args.spectral_samples, span=args.spectral_span)
     comments = echo_lines(cfg) + _spectral_comments(args) + [
@@ -124,7 +123,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_carpet(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _check_threads(args)
     lam = parse_length(args.wavelength) if args.wavelength else cfg.lambda0
     lt = talbot_length(cfg.d, lam)
     x_lo = parse_length(args.x_min) if args.x_min else -cfg.d
@@ -188,7 +186,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _check_threads(args)
     source, grating = cfg.source(), cfg.grating()
     pattern = scan(source, grating, cfg.detection(),
                    samples=args.spectral_samples, span=args.spectral_span)
@@ -210,105 +207,124 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _scan_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, "scan.csv")
+    _add_spectral(sub)
+
+
+def _carpet_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, "carpet.csv")
+    sub.add_argument("--wavelength", metavar="VALUE",
+                     help="carpet wavelength (default: lambda0)")
+    sub.add_argument("--x-min", metavar="VALUE",
+                     help="left edge of the x raster (default: -d)")
+    sub.add_argument("--x-max", metavar="VALUE",
+                     help="right edge of the x raster (default: d)")
+    sub.add_argument("--x-count", type=_positive_int, default=256,
+                     metavar="N", help="x samples (default 256)")
+    sub.add_argument("--z-min", metavar="VALUE",
+                     help="nearest plane (default: d*d/lambda/50)")
+    sub.add_argument("--z-max", metavar="VALUE",
+                     help="farthest plane (default: 2*d*d/lambda)")
+    sub.add_argument("--z-count", type=_positive_int, default=128,
+                     metavar="N", help="z samples (default 128)")
+    sub.add_argument("--norm", default=NORM_RAW,
+                     choices=(NORM_RAW, NORM_COLUMN_MAX_ONE),
+                     help="value scaling (default raw)")
+
+
+def _mask_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, "mask.pgm")
+    sub.add_argument("--width-px", type=int, default=1024, metavar="N",
+                     help="mask width in pixels (default 1024)")
+    sub.add_argument("--height-px", type=int, default=768, metavar="N",
+                     help="mask height in pixels (default 768)")
+    sub.add_argument("--pixel-pitch", default="36um", metavar="VALUE",
+                     help="pixel size (default 36um)")
+    sub.add_argument("--gray-open", type=int, default=255, metavar="G",
+                     help="gray level of open columns (default 255)")
+    sub.add_argument("--gray-closed", type=int, default=0, metavar="G",
+                     help="gray level of closed columns (default 0)")
+
+
+def _mc_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, "mc.csv")
+    _add_spectral(sub)
+    sub.add_argument("--seed", type=int, required=True, metavar="U64",
+                     help="RNG seed; identical seeds give identical files")
+    sub.add_argument("--events-per-point", type=float, default=1000.0,
+                     metavar="MEAN",
+                     help="expected counts at the curve peak (default 1000)")
+
+
+def _oracle_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, "oracle.csv")
+    sub.add_argument("--wavelength", metavar="VALUE",
+                     help="probe wavelength (default: lambda0)")
+    sub.add_argument("--x-min", metavar="VALUE",
+                     help="first probe position (default: -d)")
+    sub.add_argument("--x-max", metavar="VALUE",
+                     help="last probe position (default: d)")
+    sub.add_argument("--points", type=_positive_int, default=129,
+                     metavar="N", help="probe positions (default 129)")
+    sub.add_argument("--max-steps", type=int, default=DEFAULT_MAX_WINDOWS,
+                     metavar="N",
+                     help="cap on the open grating windows integrated per "
+                          f"field evaluation (default {DEFAULT_MAX_WINDOWS})")
+
+
+def _analyze_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    _add_spectral(sub)
+    sub.add_argument("--z-lo", metavar="VALUE",
+                     help="revival search start (default: 0.8*z)")
+    sub.add_argument("--z-hi", metavar="VALUE",
+                     help="revival search end (default: 1.3*z)")
+    sub.add_argument("--z-steps", type=int, default=64, metavar="N",
+                     help="revival search grid size (default 64)")
+
+
+# name -> (help line, argument builder, handler), in --help order
+_COMMANDS = {
+    "scan": ("slit-scan count-rate curve as CSV", _scan_args, cmd_scan),
+    "carpet": ("monochromatic intensity raster as CSV", _carpet_args,
+               cmd_carpet),
+    "mask": ("binary grating mask as a P5 PGM image", _mask_args, cmd_mask),
+    "mc": ("seeded photon-count simulation as CSV", _mc_args, cmd_mc),
+    "oracle": ("analytic intensity vs direct Fresnel integral, side by side",
+               _oracle_args, cmd_oracle),
+    "analyze": ("visibility, fringe width fraction and revival distance",
+                _analyze_args, cmd_analyze),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The talbot-sim parser with every subcommand, or with only the one
+    named by command, which parses that subcommand's argv the same way."""
     parser = argparse.ArgumentParser(
         prog="talbot-sim",
+        # fixed, so an error names all six subcommands whichever were built
+        usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
         description="Near-field grating diffraction simulator: slit scans, "
                     "intensity carpets, photon-count runs and validation.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_scan = subs.add_parser("scan", epilog=_UNITS_EPILOG,
-                             help="slit-scan count-rate curve as CSV")
-    _add_common(p_scan, "scan.csv")
-    _add_spectral(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_carpet = subs.add_parser("carpet", epilog=_UNITS_EPILOG,
-                               help="monochromatic intensity raster as CSV")
-    _add_common(p_carpet, "carpet.csv")
-    p_carpet.add_argument("--wavelength", metavar="VALUE",
-                          help="carpet wavelength (default: lambda0)")
-    p_carpet.add_argument("--x-min", metavar="VALUE",
-                          help="left edge of the x raster (default: -d)")
-    p_carpet.add_argument("--x-max", metavar="VALUE",
-                          help="right edge of the x raster (default: d)")
-    p_carpet.add_argument("--x-count", type=_positive_int, default=256,
-                          metavar="N", help="x samples (default 256)")
-    p_carpet.add_argument("--z-min", metavar="VALUE",
-                          help="nearest plane (default: d*d/lambda/50)")
-    p_carpet.add_argument("--z-max", metavar="VALUE",
-                          help="farthest plane (default: 2*d*d/lambda)")
-    p_carpet.add_argument("--z-count", type=_positive_int, default=128,
-                          metavar="N", help="z samples (default 128)")
-    p_carpet.add_argument("--norm", default=NORM_RAW,
-                          choices=(NORM_RAW, NORM_COLUMN_MAX_ONE),
-                          help="value scaling (default raw)")
-    p_carpet.set_defaults(func=cmd_carpet)
-
-    p_mask = subs.add_parser("mask", epilog=_UNITS_EPILOG,
-                             help="binary grating mask as a P5 PGM image")
-    _add_common(p_mask, "mask.pgm")
-    p_mask.add_argument("--width-px", type=int, default=1024, metavar="N",
-                        help="mask width in pixels (default 1024)")
-    p_mask.add_argument("--height-px", type=int, default=768, metavar="N",
-                        help="mask height in pixels (default 768)")
-    p_mask.add_argument("--pixel-pitch", default="36um", metavar="VALUE",
-                        help="pixel size (default 36um)")
-    p_mask.add_argument("--gray-open", type=int, default=255, metavar="G",
-                        help="gray level of open columns (default 255)")
-    p_mask.add_argument("--gray-closed", type=int, default=0, metavar="G",
-                        help="gray level of closed columns (default 0)")
-    p_mask.set_defaults(func=cmd_mask)
-
-    p_mc = subs.add_parser("mc", epilog=_UNITS_EPILOG,
-                           help="seeded photon-count simulation as CSV")
-    _add_common(p_mc, "mc.csv")
-    _add_spectral(p_mc)
-    p_mc.add_argument("--seed", type=int, required=True, metavar="U64",
-                      help="RNG seed; identical seeds give identical files")
-    p_mc.add_argument("--events-per-point", type=float, default=1000.0,
-                      metavar="MEAN",
-                      help="expected counts at the curve peak (default 1000)")
-    p_mc.set_defaults(func=cmd_mc)
-
-    p_oracle = subs.add_parser(
-        "oracle", epilog=_UNITS_EPILOG,
-        help="analytic intensity vs direct Fresnel integral, side by side")
-    _add_common(p_oracle, "oracle.csv")
-    p_oracle.add_argument("--wavelength", metavar="VALUE",
-                          help="probe wavelength (default: lambda0)")
-    p_oracle.add_argument("--x-min", metavar="VALUE",
-                          help="first probe position (default: -d)")
-    p_oracle.add_argument("--x-max", metavar="VALUE",
-                          help="last probe position (default: d)")
-    p_oracle.add_argument("--points", type=_positive_int, default=129,
-                          metavar="N", help="probe positions (default 129)")
-    p_oracle.add_argument("--max-steps", type=int,
-                          default=DEFAULT_MAX_WINDOWS, metavar="N",
-                          help="cap on the open grating windows integrated "
-                               "per field evaluation "
-                               f"(default {DEFAULT_MAX_WINDOWS})")
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_an = subs.add_parser(
-        "analyze", epilog=_UNITS_EPILOG,
-        help="visibility, fringe width fraction and revival distance")
-    _add_common(p_an)
-    _add_spectral(p_an)
-    p_an.add_argument("--z-lo", metavar="VALUE",
-                      help="revival search start (default: 0.8*z)")
-    p_an.add_argument("--z-hi", metavar="VALUE",
-                      help="revival search end (default: 1.3*z)")
-    p_an.add_argument("--z-steps", type=int, default=64, metavar="N",
-                      help="revival search grid size (default 64)")
-    p_an.set_defaults(func=cmd_analyze)
-
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 prog="talbot-sim")
+    for name in [command] if command else _COMMANDS:
+        help_line, add_args, handler = _COMMANDS[name]
+        sub = subs.add_parser(name, epilog=_UNITS_EPILOG, help=help_line)
+        add_args(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build only the subparser that runs: all six take about 3 ms, a large
+    # share of a short job; --help and a missing or bad command get all six
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
+        _check_threads(args)
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

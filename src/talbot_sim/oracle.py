@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import fresnel
 
 from .errors import DomainError, ResolutionCapError
-from .model import DetectionSpec, GratingSpec, SourceSpec, effective_distance
+from .model import GratingSpec, SourceSpec, effective_distance
 
 # Budget of open windows per field evaluation.  The widest aperture the
 # test suite integrates, 31.25 m at d = 360 um, opens about 1.7e5.
@@ -80,6 +79,10 @@ def _window_edges(g: GratingSpec, half_width: float,
 def _fields(xs: np.ndarray, lam: float, source: SourceSpec, g: GratingSpec,
             z: float, max_windows: int) -> np.ndarray:
     """Complex field at each probe position in xs (a 1-D array)."""
+    # imported here, not at module level: scipy takes longer to import than
+    # every other subcommand takes to run, and only the oracle needs it
+    from scipy.special import fresnel
+
     if lam <= 0:
         raise DomainError("wavelength must be positive")
     if z <= 0:
@@ -128,14 +131,3 @@ def fresnel_intensity(xs, lam: float, source: SourceSpec, g: GratingSpec,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     fields = _fields(xs.ravel(), lam, source, g, z, max_windows)
     return (np.abs(fields) ** 2).reshape(xs.shape)
-
-
-def oracle_slit_rate(x: float, lam: float, source: SourceSpec,
-                     g: GratingSpec, det: DetectionSpec,
-                     samples: int = 257, **kwargs) -> float:
-    """Trapezoid of |field|^2 across the slit [x, x + slit_width]."""
-    if samples < 257:
-        samples = 257
-    probes = np.linspace(x, x + det.slit_width, samples)
-    vals = fresnel_intensity(probes, lam, source, g, det.z, **kwargs)
-    return float(np.trapezoid(vals, probes))

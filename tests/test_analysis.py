@@ -159,3 +159,12 @@ def test_revival_small_open_fraction_stays_small_in_memory():
         tracemalloc.stop()
     assert 0.128 <= z <= 0.208
     assert peak < 100e6
+
+
+@pytest.mark.parametrize("f", [0.001, 0.003])
+def test_revival_small_open_fraction_finds_main_lobe(f):
+    # at the auto trunc (8000 and 2667 orders) the main lobe is a few um
+    # wide, far narrower than the coarse grid's 1.3 mm spacing
+    g = baseline_grating(f=f)
+    z = revival_distance(point_source(), g, LAMBDA0, 0.128, 0.208)
+    assert z == pytest.approx(0.174, abs=1e-6)

@@ -1,9 +1,17 @@
 """Command-line interface: files, exit codes, reports, reproducibility."""
 
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from talbot_sim.cli import main
+import talbot_sim
+from talbot_sim.cli import build_parser, main
 from talbot_sim.config import CONFIG_KEYS
 from talbot_sim.grating import read_pgm
 
@@ -81,18 +89,88 @@ def test_exit_code_for_unwritable_output(tmp_path, capsys):
                 + FAST) == 2
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
+# one quick argv per subcommand, without --out
+QUICK = {
+    "scan": ["scan"] + FAST,
+    "carpet": ["carpet", "--x-count", "8", "--z-count", "4"] + FAST,
+    "mask": ["mask", "--width-px", "64", "--height-px", "8"] + FAST,
+    "mc": ["mc", "--seed", "7", "--events-per-point", "200"] + FAST,
+    "oracle": ["oracle", "--points", "5"] + FAST,
+    "analyze": ["analyze", "--scan-step", "24um", "--z-lo", "155mm",
+                "--z-hi", "165mm", "--z-steps", "16"] + FAST,
+}
+
+
+@pytest.mark.parametrize("command", list(QUICK))
+def test_threads_env_fallback(tmp_path, monkeypatch, command):
+    def run(name, *extra):
+        return main(QUICK[command] + ["--out", str(tmp_path / name),
+                                      *extra])
+
     monkeypatch.delenv("TALBOT_SIM_THREADS", raising=False)
-    assert main(["scan", "--out", str(a)] + FAST) == 0
+    assert run("a") == 0
     monkeypatch.setenv("TALBOT_SIM_THREADS", "3")
-    assert main(["scan", "--out", str(b)] + FAST) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert run("b") == 0
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
     monkeypatch.setenv("TALBOT_SIM_THREADS", "zero")
-    assert main(["scan", "--out", str(tmp_path / "c.csv")] + FAST) == 2
+    assert run("c") == 2
     monkeypatch.setenv("TALBOT_SIM_THREADS", "0")
-    assert main(["scan", "--out", str(tmp_path / "d.csv")] + FAST) == 2
+    assert run("d") == 2
+    monkeypatch.delenv("TALBOT_SIM_THREADS")
+    assert run("e", "--threads", "0") == 2
+    assert not any((tmp_path / name).exists() for name in "cde")
+
+
+def test_only_oracle_imports_scipy(tmp_path):
+    # scipy is imported by the oracle alone, so every other subcommand
+    # skips its import time
+    script = textwrap.dedent(f"""
+        import sys
+        import talbot_sim, talbot_sim.cli
+        out = {str(tmp_path)!r}
+        for argv in ({QUICK["scan"]!r}, {QUICK["mask"]!r}):
+            assert talbot_sim.cli.main(argv + ["--out", out + "/x"]) == 0
+        assert "scipy" not in sys.modules, "scipy imported before oracle"
+        assert talbot_sim.cli.main({QUICK["oracle"]!r}
+                                   + ["--out", out + "/o.csv"]) == 0
+        assert "scipy" in sys.modules, "oracle ran without scipy"
+    """)
+    src = str(Path(talbot_sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", list(QUICK))
+def test_single_subcommand_parser_matches_full(tmp_path, command):
+    argv = QUICK[command] + ["--out", str(tmp_path / "x"), "--threads", "2",
+                             "--scan-start=-300um"]
+    assert (build_parser(command).parse_args(argv)
+            == build_parser().parse_args(argv))
+
+
+def test_top_level_messages_name_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    listing = capsys.readouterr().out.split("positional arguments:")[1]
+    names = [ln.split()[0] for ln in listing.splitlines()
+             if ln.startswith("    ") and not ln.startswith("     ")]
+    assert names == list(QUICK)
+
+    listed = "{" + ",".join(QUICK) + "}"
+    with pytest.raises(SystemExit) as err:
+        main([])
+    assert err.value.code == 2
+    assert listed in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as err:
+        main(["bogus", "--out", "x.csv"])
+    assert err.value.code == 2
+    choices = capsys.readouterr().err.split("choose from")[1]
+    assert re.findall(r"[a-z]+", choices) == list(QUICK)
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--points", "0"],
