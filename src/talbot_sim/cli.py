@@ -9,7 +9,6 @@ domain error, 4 oracle window budget exceeded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -46,9 +45,9 @@ def _add_common(sub: argparse.ArgumentParser, default_out=None) -> None:
     sub.add_argument("--out", metavar="PATH", default=default_out,
                      help=out_help)
     sub.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="thread count, checked to be >= 1 (default: "
-                          "$TALBOT_SIM_THREADS or 1); the computation runs "
-                          "on one thread and does not depend on it")
+                     help="thread count, checked to be >= 1 (default 1); "
+                          "the computation runs on one thread and does not "
+                          "depend on it")
     for key in CONFIG_KEYS:
         sub.add_argument("--" + key.replace("_", "-"), dest="key_" + key,
                          metavar="VALUE", help=KEY_HELP[key])
@@ -89,18 +88,8 @@ def _positive_int(text: str) -> int:
 
 
 def _check_threads(args: argparse.Namespace) -> None:
-    """Validate --threads / $TALBOT_SIM_THREADS; the count is not used."""
-    n = args.threads
-    if n is None:
-        text = os.environ.get("TALBOT_SIM_THREADS", "").strip()
-        if not text:
-            return
-        try:
-            n = int(text)
-        except ValueError:
-            raise ConfigError("TALBOT_SIM_THREADS must be an integer, "
-                              f"got {text!r}") from None
-    if n < 1:
+    """Validate --threads; the count is not used."""
+    if args.threads is not None and args.threads < 1:
         raise ConfigError("thread count must be >= 1")
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .model import NORM_MAX_ONE, Carpet, Pattern, magnification
+from .model import Carpet, Pattern
 from .units import fmt
 
 
@@ -17,31 +17,19 @@ def _write_text(path, lines) -> None:
 
 def _x_over_d(pattern: Pattern) -> np.ndarray:
     """Slit positions in units of the magnified grating period."""
-    grating = pattern.meta["grating"]
-    mag = pattern.meta.get("magnification")
-    if mag is None:
-        mag = magnification(pattern.meta["detection"].z,
-                            pattern.meta["source"].z0)
-    return pattern.positions / (grating.d * mag)
+    period = pattern.meta["grating"].d * pattern.meta["magnification"]
+    return pattern.positions / period
 
 
 def write_scan_csv(path, pattern: Pattern, comments=()) -> None:
-    """Write a rate scan: x_over_d, x_m, rate_normalized, rate_raw."""
+    """Write a scan() curve: x_over_d, x_m, rate_normalized, rate_raw."""
     xs = _x_over_d(pattern)
-    if pattern.norm == NORM_MAX_ONE:
-        normalized = pattern.values
-        raw = pattern.values * pattern.meta["raw_max"]
-    else:
-        peak = float(pattern.values.max())
-        if peak <= 0:
-            raise DomainError("cannot normalize an all-zero pattern")
-        normalized = pattern.values / peak
-        raw = pattern.values
+    raw = pattern.values * pattern.meta["raw_max"]
     lines = list(comments)
     lines.append("x_over_d,x_m,rate_normalized,rate_raw")
     for i in range(pattern.positions.size):
         lines.append(",".join((fmt(xs[i]), fmt(pattern.positions[i]),
-                               fmt(normalized[i]), fmt(raw[i]))))
+                               fmt(pattern.values[i]), fmt(raw[i]))))
     _write_text(path, lines)
 
 

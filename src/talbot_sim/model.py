@@ -66,13 +66,6 @@ class SourceSpec:
                 object.__setattr__(self, "delta", PLANE_WAVE_DELTA_M)
         _require(self.delta > 0, "delta must be positive")
 
-    @property
-    def divergence(self) -> float:
-        """Half angle delta/z0 subtended by the illuminated patch; 0 if collimated."""
-        if self.z0 is None:
-            return 0.0
-        return self.delta / self.z0
-
 
 @dataclass(frozen=True)
 class GratingSpec:

@@ -8,18 +8,21 @@ the points are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .model import DetectionSpec, GratingSpec, Pattern, SourceSpec
-from .propagation import polychromatic_rate
+from .propagation import scan
 
 # Counter-based generator; stream i is the base generator jumped i times.
 RNG_ID = "numpy.random.Philox, per-point streams via jumped(point_index)"
 
 _U64_MAX = 2 ** 64 - 1
+
+# numpy's Poisson sampler refuses means above about 9.2e18.
+_MAX_EVENTS = 1e18
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,9 @@ class McRun:
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _U64_MAX:
             raise DomainError("seed must fit an unsigned 64-bit integer")
-        if not self.events_per_point > 0:
-            raise DomainError("events_per_point must be positive")
+        if not 0 < self.events_per_point <= _MAX_EVENTS:
+            raise DomainError("events_per_point must be positive and at "
+                              f"most {_MAX_EVENTS:g}")
 
 
 def point_rng(seed: int, index: int) -> np.random.Generator:
@@ -49,32 +53,23 @@ def point_rng(seed: int, index: int) -> np.random.Generator:
 def simulate_scan(run: McRun) -> Pattern:
     """Simulate counting at every scan position.
 
-    The analytic polychromatic curve is normalized to its own peak and
-    scaled by events_per_point; each point's count is Poisson with that
-    mean, with sqrt(count) recorded as its shot-noise bar.
+    The peak-normalized curve of scan() is scaled by events_per_point;
+    each point's count is Poisson with that mean, with sqrt(count)
+    recorded as its shot-noise bar.
     """
-    positions = run.scan.positions()
-    rates = np.asarray(polychromatic_rate(
-        positions, run.source, run.grating, run.scan,
-        samples=run.spectral_samples, span=run.spectral_span), dtype=float)
-    peak = float(rates.max())
-    if peak <= 0:
-        raise DomainError("rate curve is identically zero")
-    means = run.events_per_point * rates / peak
-    counts = np.empty(positions.size)
-    for i in range(positions.size):
+    curve = scan(run.source, run.grating, run.scan,
+                 samples=run.spectral_samples, span=run.spectral_span)
+    means = run.events_per_point * curve.values
+    counts = np.empty(means.size)
+    for i in range(means.size):
         counts[i] = point_rng(run.seed, i).poisson(means[i])
     errors = np.sqrt(counts)
     meta = {
+        **curve.meta,
         "seed": run.seed,
         "rng": RNG_ID,
         "events_per_point": run.events_per_point,
-        "source": run.source,
-        "grating": run.grating,
-        "detection": run.scan,
-        "spectral_samples": run.spectral_samples,
-        "spectral_span": run.spectral_span,
         "expected_means": means,
     }
-    return Pattern(positions=positions, values=counts, norm="raw",
+    return Pattern(positions=curve.positions, values=counts, norm="raw",
                    errors=errors, meta=meta)

@@ -95,17 +95,16 @@ def slit_rate(x, lam: float, source: SourceSpec, grating: GratingSpec,
 
 
 def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
-                       det: DetectionSpec, grid=None, samples: int = 41,
-                       span: float = 3.0):
+                       det: DetectionSpec, grid=None):
     """Spectrum-weighted count rate behind a slit spanning [x, x + slit_width].
 
-    grid is a list of (wavelength, weight) nodes; by default it is the
-    source's own spectral grid.  The weighted harmonics are summed in node
+    grid is a list of (wavelength, weight) nodes; by default it is
+    spectral_grid(source).  The weighted harmonics are summed in node
     order.  Integrating harmonic q across the slit gives sin(q*a*D/2)/(q*a)
     times its phase factor at the slit center; q = 0 takes the limit D/2.
     """
     if grid is None:
-        grid = spectral_grid(source, samples=samples, span=span)
+        grid = spectral_grid(source)
     if len(grid) == 0:
         raise DomainError("spectral grid is empty")
     width = det.slit_width
@@ -133,39 +132,32 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
 
 
 def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
-         samples: int = 41, span: float = 3.0,
-         norm: str = NORM_MAX_ONE) -> Pattern:
+         samples: int = 41, span: float = 3.0) -> Pattern:
     """Sweep the slit across the pattern and return it as a Pattern.
 
     The slit is swept while the grating stays put; positions are the
-    slit coordinates X.  With the default norm the curve peaks at 1 and
-    the raw peak rate is kept in meta["raw_max"].
+    slit coordinates X.  The spectrum is spectral_grid(source, samples,
+    span).  The curve peaks at 1 and the raw peak rate is kept in
+    meta["raw_max"].
     """
     positions = det.positions()
-    if positions.size == 0:
-        raise DomainError("scan range is empty")
-    values = np.asarray(polychromatic_rate(
+    rates = np.asarray(polychromatic_rate(
         positions, source, grating, det,
-        samples=samples, span=span), dtype=float)
+        grid=spectral_grid(source, samples=samples, span=span)), dtype=float)
+    raw_max = float(rates.max())
+    if raw_max <= 0:
+        raise DomainError("pattern is identically zero")
     meta = {
         "source": source,
         "grating": grating,
         "detection": det,
-        "spectral_samples": samples,
-        "spectral_span": span,
         "magnification": magnification(det.z, source.z0),
         "abscissa": "slit position X in meters; X/(d*magnification) "
                     "counts magnified grating periods",
+        "raw_max": raw_max,
     }
-    if norm == NORM_MAX_ONE:
-        raw_max = float(values.max())
-        if raw_max <= 0:
-            raise DomainError("pattern is identically zero")
-        meta["raw_max"] = raw_max
-        values = values / raw_max
-    elif norm != NORM_RAW:
-        raise DomainError(f"unknown scan norm {norm!r}")
-    return Pattern(positions=positions, values=values, norm=norm, meta=meta)
+    return Pattern(positions=positions, values=rates / raw_max,
+                   norm=NORM_MAX_ONE, meta=meta)
 
 
 def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from talbot_sim import DomainError, McRun, beta_from_fwhm, simulate_scan
+from talbot_sim import DomainError, McRun, beta_from_fwhm, scan, simulate_scan
 from talbot_sim.montecarlo import RNG_ID, point_rng
 
 from helpers import (FWHM, baseline_detection, baseline_grating,
@@ -37,6 +37,15 @@ def test_simulate_scan_errors_and_meta():
     means = pat.meta["expected_means"]
     assert means.shape == pat.values.shape
     assert means.max() == pytest.approx(1000.0, rel=1e-12)
+
+
+def test_expected_means_are_the_scan_curve():
+    run = _run(seed=7, events=1234.5, spectral_samples=11, spectral_span=2.5)
+    pat = simulate_scan(run)
+    curve = scan(run.source, run.grating, run.scan, samples=11, span=2.5)
+    assert np.array_equal(pat.positions, curve.positions)
+    assert np.array_equal(pat.meta["expected_means"],
+                          run.events_per_point * curve.values)
 
 
 def test_simulate_scan_vanishing_dwell_gives_zero_counts():
@@ -80,3 +89,8 @@ def test_mcrun_validation():
         _run(events=0.0)
     with pytest.raises(DomainError):
         _run(events=-5.0)
+    # numpy's Poisson sampler refuses means above about 9.2e18
+    for events in (float("inf"), float("nan"), 1e30, 1.01e18):
+        with pytest.raises(DomainError):
+            _run(events=events)
+    assert _run(events=1e18).events_per_point == 1e18
