@@ -9,12 +9,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import GratingSpec, Pattern, SourceSpec, effective_distance
-from .propagation import _CHUNK_BUDGET, _fft_size, _harmonics
-
-# Scratch doubles per scored plane and per FFT point: the complex chirp,
-# spectrum and autocorrelation rows and their real temporaries (tracemalloc
-# reads about 9 at trunc 8000).
-_DOUBLES_PER_POINT = 10
+from .propagation import (_CHUNK_BUDGET, _DOUBLES_PER_POINT, _fft_size,
+                          _harmonics)
 
 # Orders kept while the revival search locates the main lobe: the lobe
 # narrows roughly as 1/trunc^2, and the default coarse grid stops

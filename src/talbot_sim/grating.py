@@ -87,7 +87,8 @@ def render_slm_mask(g: GratingSpec, profile: SlmProfile | None = None) -> np.nda
 
     Column j is sampled at its center (j + 0.5 - width/2) * pitch, so the
     pattern is centered on the panel.  Raises if the period is finer than
-    two pixels and cannot be displayed.
+    two pixels and cannot be displayed, or if it is not a whole number of
+    pixels (to a relative 1e-9), where the mask would not repeat with d.
     """
     if profile is None:
         profile = SlmProfile()
@@ -95,6 +96,11 @@ def render_slm_mask(g: GratingSpec, profile: SlmProfile | None = None) -> np.nda
         raise DomainError(
             f"period unresolvable: d = {g.d:g} m is below two pixels "
             f"({2 * profile.pixel_pitch:g} m)")
+    pixels = g.d / profile.pixel_pitch
+    if abs(pixels - round(pixels)) > 1e-9 * pixels:
+        raise DomainError(
+            f"period not a whole number of pixels: d = {g.d:g} m is "
+            f"{pixels:.6g} pixels of {profile.pixel_pitch:g} m")
     centers = (np.arange(profile.width_px) + 0.5 - profile.width_px / 2)
     centers = centers * profile.pixel_pitch
     # When pitch divides d, centers can land exactly on window edges and

@@ -2,12 +2,15 @@
 
 Everything here comes from the harmonic expansion of the grating.  The
 field amplitude is psi(x) = sum_n c_n exp(i*n*a*x) with the chirped
-coefficients c_n = A_n exp(i*n^2*b).  The intensity is |psi|^2, a single
-sum over orders per position.  Slit and spectral averages act on the
-intensity harmonics C_q = sum_n c_{n+q} conj(c_n), q = 0..2*trunc, the
-autocorrelation of c: one FFT per wavelength sums them, the spectral
-weights and the slit factor apply to them once, and a position then costs
-2*trunc cosines.
+coefficients c_n = A_n exp(i*n^2*b).  Its intensity |psi|^2 has the
+harmonics C_q = sum_n c_{n+q} conj(c_n), q = 0..2*trunc, the
+autocorrelation of c: one FFT per wavelength sums them.  Every observable
+is then a cosine sum sum_q w_q cos(q*a*x).  The intensity takes
+w = (C_0, 2*C_1, 2*C_2, ...); slit and spectral averages fold the spectral
+weights and the slit factor into w once.  On an evenly spaced grid of P
+positions the sum is a chirp-z transform, one FFT convolution of about
+2*trunc + P points (_chirp_z); scalars and other positions cost 2*trunc
+cosines each.
 """
 
 from __future__ import annotations
@@ -22,14 +25,33 @@ from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW, Carpet,
                     DetectionSpec, GratingSpec, Pattern, SourceSpec,
                     effective_distance, magnification, spectral_grid)
 
-# Cap on the scratch matrix (orders or harmonics x positions) in doubles.
+# Cap on the scratch of one pass (rows x FFT points, or harmonics x
+# positions) in doubles.
 _CHUNK_BUDGET = 4_000_000
+
+# Scratch doubles per row and per FFT point: the complex chirp, spectrum
+# and product rows and their real temporaries (tracemalloc reads about 9
+# in the revival scorer at trunc 8000, 10 to 11 in a chirp-z pass).
+_DOUBLES_PER_POINT = 12
 
 
 def _fft_size(grating: GratingSpec) -> int:
     """Length of the zero-padded FFT in _harmonics: the smallest power of
     two above 4*trunc + 1, which holds harmonic 2*trunc without wrapping."""
     return 1 << (4 * grating.trunc + 1).bit_length()
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 2^i * 3^j * 5^k >= n, a length numpy's FFT does fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _harmonics(grating: GratingSpec, b) -> np.ndarray:
@@ -49,37 +71,146 @@ def _harmonics(grating: GratingSpec, b) -> np.ndarray:
     return np.fft.ifft(power)[..., :ns.size].real
 
 
+def _uniform_step(xs: np.ndarray):
+    """The spacing h when xs[j] = xs[0] + j*h holds to a few ulps of
+    max|x| (np.linspace and DetectionSpec.positions() do), else None."""
+    if xs.size < 2:
+        return None
+    step = (xs[-1] - xs[0]) / (xs.size - 1)
+    with np.errstate(invalid="ignore"):
+        drift = np.max(np.abs(xs - (xs[0] + step * np.arange(xs.size))))
+        if drift <= 4.0 * np.spacing(np.max(np.abs(xs))):
+            return step
+    return None
+
+
+def _turns(scale: np.ndarray, ints: np.ndarray) -> np.ndarray:
+    """scale * ints modulo 1, one row per scale value, for ascending
+    non-negative integers ints.
+
+    The chirp phases reach about 1e9 rad at trunc 80000, where a double
+    resolves only 1e-7 rad.  So each scale splits into a high part of
+    53 - bits(max ints) significant bits, whose products are exact and
+    lose their whole turns exactly (p - rint(p) is exact like
+    fmod(p, 1), and much faster), and a small remainder whose products
+    stay below 2^bits ulps of the high part.
+    """
+    keep = 53 - int(ints[-1]).bit_length()
+    mant, expo = np.frexp(scale)
+    high = np.ldexp(np.round(np.ldexp(mant, keep)), expo - keep)
+    whole = np.multiply.outer(high, ints)
+    whole -= np.rint(whole)
+    return whole + np.multiply.outer(scale - high, ints)
+
+
+def _chirp_z(weights: np.ndarray, nu: np.ndarray, x0: float, step: float,
+             count: int, length: int) -> np.ndarray:
+    """sum_q weights[r, q] cos(2*pi*q*nu[r]*(x0 + j*step)) for j < count.
+
+    Bluestein's identity q*j = (q^2 + j^2 - (j - q)^2)/2 makes the sum,
+    with t = nu*step, the real part of conj(k_j) * sum_q v_q k_{j-q}, where
+    v_q = w_q exp(2*pi*i*(q*nu*x0 + t*q^2/2)) and k_m = exp(-i*pi*t*m^2):
+    a linear convolution, computed by FFTs of length >= Q + count - 1
+    (Bluestein 1970; Rabiner, Schafer & Rader 1969).  When every row has
+    the same t (a plane wave's carpet) the rows share one kernel.  Phases
+    are taken in turns (_turns) and multiplied by 2*pi only after the
+    reduction.
+    """
+    size = weights.shape[1]
+    half = nu * step / 2.0
+    if np.all(half == half[0]):
+        half = half[:1]
+    m = np.arange(max(size, count), dtype=float)
+    square = _turns(half, m * m)
+    chirp = np.exp(-2j * np.pi * square)
+    kernel = np.zeros((half.size, length), dtype=complex)
+    kernel[:, :count] = chirp[:, :count]
+    kernel[:, length - size + 1:] = chirp[:, size - 1:0:-1]
+    kernel = np.fft.fft(kernel)
+    phase = _turns(nu * x0, m[:size]) + square[:, :size]
+    spectrum = np.fft.fft(weights * np.exp(2j * np.pi * phase), length)
+    spectrum *= kernel
+    conv = np.fft.ifft(spectrum)[:, :count]
+    return (conv * chirp[:, :count].conj()).real
+
+
+def _direct_cosine_sums(weights: np.ndarray, a: np.ndarray,
+                        xs: np.ndarray) -> np.ndarray:
+    """The cosine sums of _cosine_sums by one cosine per harmonic and
+    position, in blocks of positions within _CHUNK_BUDGET doubles."""
+    rows, size = weights.shape
+    out = np.empty((rows, xs.size))
+    block = max(1, _CHUNK_BUDGET // size)
+    for r in range(rows):
+        qa = np.arange(size) * a[r]
+        for lo in range(0, xs.size, block):
+            out[r, lo:lo + block] = np.cos(
+                np.multiply.outer(xs[lo:lo + block], qa)) @ weights[r]
+    return out
+
+
+def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
+    """sum_q weights[r, q] cos(q*a[r]*x) for every row r of weights and
+    every position x (flattened): an array of shape (rows, x.size).
+
+    Evenly spaced positions (at least two) go through _chirp_z, in passes
+    of positions and rows whose scratch stays within _CHUNK_BUDGET
+    doubles; scalars and other positions take _direct_cosine_sums.
+    """
+    weights = np.atleast_2d(weights)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    step = _uniform_step(xs)
+    if step is None:
+        return _direct_cosine_sums(weights, a, xs)
+    rows, size = weights.shape
+    count = min(xs.size, max(size, _CHUNK_BUDGET // _DOUBLES_PER_POINT - size))
+    length = _fast_length(size + count - 1)
+    chunk = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * length))
+    nu = a / (2.0 * math.pi)
+    out = np.empty((rows, xs.size))
+    for r in range(0, rows, chunk):
+        for lo in range(0, xs.size, count):
+            hi = min(lo + count, xs.size)
+            out[r:r + chunk, lo:hi] = _chirp_z(weights[r:r + chunk],
+                                               nu[r:r + chunk], xs[lo],
+                                               step, hi - lo, length)
+    return out
+
+
+def _intensity_rows(x, lam: float, source: SourceSpec, grating: GratingSpec,
+                    zs) -> np.ndarray:
+    """Intensity at the flattened positions x on each plane z of zs, one
+    row per plane.  Every row's C_q comes from batched _harmonics calls in
+    row chunks within _CHUNK_BUDGET doubles; the intensity is then the
+    cosine sum with weights C_0, 2*C_1, 2*C_2, ... and a = 2*pi/(d*M)."""
+    if lam <= 0:
+        raise DomainError("wavelength must be positive")
+    zeff = np.array([effective_distance(float(z), source.z0) for z in zs])
+    mag = np.array([magnification(float(z), source.z0) for z in zs])
+    bs = math.pi * lam * zeff / (grating.d ** 2)
+    a = grating.k_d / mag
+    chunk = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * _fft_size(grating)))
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    out = np.empty((bs.size, xs.size))
+    for lo in range(0, bs.size, chunk):
+        weights = 2.0 * _harmonics(grating, bs[lo:lo + chunk])
+        weights[:, 0] /= 2.0
+        out[lo:lo + chunk] = _cosine_sums(weights, a[lo:lo + chunk], xs)
+    return out
+
+
 def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
               z: float):
     """Monochromatic intensity at lateral position x, distance z.
 
     x may be a scalar or an array.  The pattern is periodic with the
     magnified period d*(1 + z/z0) and normalized so that a fully open
-    grating gives 1.
-
-    The field amplitude is psi(x) = sum_n A_n exp(i(n*a*x + n^2*b)).
-    The grating is symmetric about x = 0, so A_-n = A_n and the sum folds
-    to A_0 + 2 sum_{n>0} A_n exp(i n^2 b) cos(n*a*x): O(trunc) work and
-    memory per position.
+    grating gives 1.  It is sum_q w_q cos(q*a*x) with the one-node
+    harmonics, w = (C_0, 2*C_1, 2*C_2, ...): an evenly spaced grid costs
+    one FFT convolution, any other x O(trunc) per position.
     """
-    if lam <= 0:
-        raise DomainError("wavelength must be positive")
-    zeff = effective_distance(z, source.z0)
-    mag = magnification(z, source.z0)
-    a = grating.k_d / mag
-    b = math.pi * lam * zeff / (grating.d ** 2)
-    ns, amps = coefficient_table(grating)
-    zeroth = amps[grating.trunc]
-    ns, amps = ns[grating.trunc + 1:], amps[grating.trunc + 1:]
-    chirp = 2.0 * amps * np.exp(1j * b * (ns * ns))
-    weights = np.stack([chirp.real, chirp.imag], axis=1)
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    vals = np.empty_like(xs)
-    block = max(1, _CHUNK_BUDGET // max(1, ns.size))
-    for lo in range(0, xs.size, block):
-        hi = min(lo + block, xs.size)
-        psi = np.cos(np.multiply.outer(xs[lo:hi], ns * a)) @ weights
-        vals[lo:hi] = (zeroth + psi[:, 0]) ** 2 + psi[:, 1] ** 2
+    vals = _intensity_rows(x, lam, source, grating, [z])[0]
     if np.isscalar(x):
         return float(vals[0])
     return vals.reshape(np.shape(x))
@@ -117,15 +248,10 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
         b = math.pi * lam * zeff / (grating.d ** 2)
         harmonics += weight * _harmonics(grating, b)
     qa = np.arange(1, harmonics.size) * a
-    weights = 2.0 * harmonics[1:] * np.sin(qa * width / 2.0) / qa
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    centered = xs + width / 2.0
-    vals = np.empty_like(xs)
-    block = max(1, _CHUNK_BUDGET // max(1, qa.size))
-    for lo in range(0, xs.size, block):
-        hi = min(lo + block, xs.size)
-        vals[lo:hi] = harmonics[0] * width / 2.0 + np.cos(
-            np.multiply.outer(centered[lo:hi], qa)) @ weights
+    weights = np.empty_like(harmonics)
+    weights[0] = harmonics[0] * width / 2.0
+    weights[1:] = 2.0 * harmonics[1:] * np.sin(qa * width / 2.0) / qa
+    vals = _cosine_sums(weights, a, np.asarray(x, dtype=float) + width / 2.0)[0]
     if np.isscalar(x):
         return float(vals[0])
     return vals.reshape(np.shape(x))
@@ -165,7 +291,9 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     """Monochromatic intensity on a full (z, x) raster.
 
     Row i holds the pattern at z_grid[i].  With norm="per-column-max-one"
-    each x column is rescaled to peak at 1 across z.
+    each x column is rescaled to peak at 1 across z.  The rows are
+    computed together: one batched _harmonics call and one chirp-z pass
+    per chunk of rows (see _intensity_rows).
     """
     if lam is None:
         lam = source.lambda0
@@ -173,8 +301,7 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     zs = np.asarray(z_grid, dtype=float)
     if zs.size == 0:
         raise DomainError("carpet z grid is empty")
-    values = np.vstack([intensity(xs, lam, source, grating, float(z))
-                        for z in zs])
+    values = _intensity_rows(xs, lam, source, grating, zs)
     if norm == NORM_COLUMN_MAX_ONE:
         peaks = values.max(axis=0)
         if np.any(peaks <= 0):

@@ -234,6 +234,13 @@ def test_mask_writes_valid_pgm(tmp_path):
     assert set(np.unique(img2)) == {0, 200}
 
 
+def test_mask_rejects_period_off_the_pixel_grid(tmp_path, capsys):
+    out = tmp_path / "mask.pgm"
+    assert main(["mask", "--d", "100um", "--out", str(out)]) == 3
+    assert "whole number of pixels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_carpet_matrix_layout(tmp_path):
     out = tmp_path / "carpet.csv"
     assert main(["carpet", "--x-count", "16", "--z-count", "8",

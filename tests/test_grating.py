@@ -159,6 +159,16 @@ def test_mask_rejects_unresolvable_period():
         render_slm_mask(GratingSpec(d=60e-6, f=0.3))  # under two pixels
 
 
+def test_mask_rejects_period_off_the_pixel_grid():
+    # 100 um is 2.78 pixels of 36 um: the mask would not repeat with d
+    with pytest.raises(DomainError, match="whole number of pixels"):
+        render_slm_mask(GratingSpec(d=100e-6, f=0.3))
+    # 720 um is 20 pixels, and 360 um over 36 um rounds to 10 within 1e-9
+    img = render_slm_mask(GratingSpec(d=720e-6, f=0.3))
+    assert np.array_equal(img[0, :20], img[0, 20:40])
+    render_slm_mask(GratingSpec(d=D, f=0.3))
+
+
 def test_slm_profile_validation():
     with pytest.raises(DomainError):
         SlmProfile(width_px=0)

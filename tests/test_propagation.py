@@ -7,12 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
                         effective_distance, fresnel_intensity, intensity,
                         magnification, polychromatic_rate, scan, slit_rate,
                         truncated_transmission, visibility)
 from talbot_sim.grating import coefficient_table
+from talbot_sim.propagation import (_cosine_sums, _direct_cosine_sums,
+                                    _harmonics)
 
 from helpers import (D, FWHM, LAMBDA0, TALBOT, Z0, baseline_detection,
                      baseline_grating, plane_source, point_source)
@@ -269,3 +273,106 @@ def test_carpet_per_column_normalization():
 def test_carpet_rejects_empty_z_grid():
     with pytest.raises(DomainError, match="z grid is empty"):
         carpet(plane_source(), baseline_grating(), np.linspace(-D, D, 5), [])
+
+
+def _intensity_weights(grating, source, z):
+    """Cosine-sum weights C_0, 2*C_1, 2*C_2, ... of the plane at z, as
+    one row, and the plane's mean intensity C_0."""
+    b = math.pi * LAMBDA0 * effective_distance(z, source.z0) / D ** 2
+    harm = _harmonics(grating, b)
+    weights = 2.0 * harm[np.newaxis]
+    weights[0, 0] = harm[0]
+    return weights, float(harm[0])
+
+
+def _assert_chirp_z_matches_direct(weights, mean, a, xs):
+    # the evaluator takes the chirp-z route on an even grid; the direct
+    # cosines are its reference.  The pattern peaks at or above its mean.
+    fast = _cosine_sums(weights, a, xs)
+    ref = _direct_cosine_sums(weights, np.array([a]), xs)
+    peak = max(float(np.abs(ref).max()), mean)
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * peak
+
+
+@settings(max_examples=150, deadline=None)
+@given(trunc=st.integers(0, 400), count=st.integers(1, 300),
+       start=st.floats(-1e-3, 1e-3), step=st.floats(1e-8, 1e-5),
+       stretch=st.floats(0.5, 2.0), z=st.floats(1e-3, 0.4),
+       point=st.booleans())
+def test_chirp_z_matches_direct_cosines(trunc, count, start, step, stretch,
+                                        z, point):
+    # The routes differ by what about three ulps of x change in the sum:
+    # the chirp-z grid x0 + j*h sits within ulps of the given x.  Over
+    # these draws (x within 12 periods, a within 2x of the plane's) that
+    # stays near 2e-13 of peak.  At much larger q*a*x one ulp of x alone
+    # moves the sum by 1e-12 of peak, so no route can match another there.
+    src = point_source() if point else plane_source()
+    g = baseline_grating(f=0.3, trunc=trunc)
+    weights, mean = _intensity_weights(g, src, z)
+    a = stretch * g.k_d / magnification(z, src.z0)
+    _assert_chirp_z_matches_direct(weights, mean, a,
+                                   start + step * np.arange(count))
+
+
+def test_chirp_z_matches_direct_cosines_at_8000_orders():
+    # chirp phases reach about 1e7 turns here, which the split of the step
+    # in _turns keeps exact to well below 1e-12
+    g = baseline_grating(f=0.001)
+    assert g.trunc == 8000
+    src = point_source()
+    weights, mean = _intensity_weights(g, src, 0.16)
+    a = g.k_d / magnification(0.16, Z0)
+    _assert_chirp_z_matches_direct(weights, mean, a,
+                                   baseline_detection().positions())
+
+
+def test_chirp_z_matches_scipy_czt():
+    # scipy's chirp-z transform evaluates sum_q w_q A^-q W^(q*j); with
+    # A = exp(i*a*x0) and W = exp(i*a*h) its real part is the cosine sum
+    from scipy.signal import czt
+    g = baseline_grating(f=0.3, trunc=80)
+    src = point_source()
+    weights, _ = _intensity_weights(g, src, 0.11)
+    a = g.k_d / magnification(0.11, Z0)
+    xs = np.linspace(-1.3 * D, 0.7 * D, 181)
+    h = xs[1] - xs[0]
+    want = czt(weights[0], m=xs.size, w=np.exp(1j * a * h),
+               a=np.exp(-1j * a * xs[0])).real
+    got = _cosine_sums(weights, a, xs)[0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("x_count, z_count", [(1, 5), (2, 5), (33, 1),
+                                              (33, 9)])
+@pytest.mark.parametrize("norm", ["raw", "per-column-max-one"])
+def test_carpet_edge_shapes_match_direct_intensity(x_count, z_count, norm):
+    # a scalar x takes the direct cosines; the batched carpet must give the
+    # same raster for any shape, point source included
+    g = baseline_grating(f=0.3)
+    src = point_source()
+    xs = np.linspace(-D, 0.6 * D, x_count)
+    zs = np.linspace(0.05, 0.3, z_count)
+    carp = carpet(src, g, xs, zs, norm=norm)
+    want = np.array([[intensity(float(x), LAMBDA0, src, g, float(z))
+                      for x in xs] for z in zs])
+    if norm == "per-column-max-one":
+        want = want / want.max(axis=0)
+    assert carp.values.shape == (z_count, x_count)
+    assert np.max(np.abs(carp.values - want)) <= 1e-12 * want.max()
+
+
+def test_carpet_small_open_fraction_stays_small_in_memory():
+    # f = 0.001 keeps 8000 orders; the default 256 x 128 raster runs in
+    # row chunks whose scratch stays within the engine's budget
+    g = baseline_grating(f=0.001)
+    assert g.trunc == 8000
+    xs = np.linspace(-D, D, 256)
+    zs = np.linspace(TALBOT / 50.0, 2.0 * TALBOT, 128)
+    tracemalloc.start()
+    try:
+        carp = carpet(point_source(), g, xs, zs, norm="per-column-max-one")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert carp.values.shape == (128, 256)
+    assert peak < 100e6
