@@ -8,9 +8,9 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import GratingSpec, Pattern, SourceSpec, effective_distance
+from .model import GratingSpec, Pattern, SourceSpec
 from .propagation import (_CHUNK_BUDGET, _DOUBLES_PER_POINT, _fft_size,
-                          _harmonics)
+                          _harmonics, _plane_harmonics)
 
 # Orders kept while the revival search locates the main lobe: the lobe
 # narrows roughly as 1/trunc^2, and the default coarse grid stops
@@ -80,17 +80,16 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     profile, over all lateral shifts within a period.
 
     Both signals are real, even and periodic, so they are their harmonics:
-    C_q = _harmonics(grating, b) for the plane at z, with
-    b = pi*lam*z_eff/d^2, and R_q = C_q at b = 0 for the profile
-    (Berry & Klein, J. Mod. Opt. 43, 2139, 1996).  The magnification only
-    stretches the pattern and drops out.  The mean-free correlation at
-    shift phi (in periods) is sum_{q>=1} C_q R_q cos(2*pi*q*phi) over
-    sqrt(sum C_q^2 * sum R_q^2); one irfft per plane evaluates it on a
-    grid of at least 256 shifts that holds harmonic 2*trunc below its
-    Nyquist bin.  A plane or profile whose standard deviation
-    sqrt(2*sum C_q^2) is at rounding level against its mean C_0 scores 0.
-    Planes are scored in chunks that keep the scratch within _CHUNK_BUDGET
-    doubles.
+    C_q from _plane_harmonics for the plane at z, and R_q = C_q at b = 0
+    for the profile (Berry & Klein, J. Mod. Opt. 43, 2139, 1996).  The
+    magnification only stretches the pattern and drops out.  The mean-free
+    correlation at shift phi (in periods) is sum_{q>=1} C_q R_q
+    cos(2*pi*q*phi) over sqrt(sum C_q^2 * sum R_q^2); one irfft per plane
+    evaluates it on a grid of at least 256 shifts that holds harmonic
+    2*trunc below its Nyquist bin.  A plane or profile whose standard
+    deviation sqrt(2*sum C_q^2) is at rounding level against its mean C_0
+    scores 0.  Planes are scored in chunks that keep the scratch within
+    _CHUNK_BUDGET doubles.
     """
     size = max(256, _fft_size(grating))
     rows = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * size))
@@ -98,13 +97,12 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     ref_norm = float(_structure(ref))
 
     def scores(zs) -> np.ndarray:
-        zeff = np.array([effective_distance(float(z), source.z0) for z in zs])
-        bs = math.pi * lam * zeff / (grating.d ** 2)
-        out = np.zeros(bs.size)
+        out = np.zeros(len(zs))
         if ref_norm == 0.0:
             return out
-        for lo in range(0, bs.size, rows):
-            harm = _harmonics(grating, bs[lo:lo + rows])
+        for lo in range(0, len(zs), rows):
+            harm, _ = _plane_harmonics(source, grating, [(lam, 1.0)],
+                                       zs[lo:lo + rows])
             norm = _structure(harm) * ref_norm
             cross = harm * ref
             cross[:, 0] = 0.0

@@ -9,7 +9,7 @@ with file and line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError
@@ -165,19 +165,7 @@ def echo_lines(config: RunConfig) -> list[str]:
     so feeding the echo back as a config file reproduces the run
     exactly, bit for bit.
     """
-    resolved = {
-        "lambda0": config.lambda0,
-        "fwhm": config.fwhm,
-        "z0": config.z0,
-        "delta": config.source().delta,
-        "d": config.d,
-        "f": config.f,
-        "trunc": config.grating().trunc,
-        "z": config.z,
-        "slit_width": config.slit_width,
-        "scan_start": config.scan_start,
-        "scan_end": config.scan_end,
-        "scan_step": config.scan_step,
-    }
-    return [f"# {key} = {_echo_value(key, resolved[key])}"
+    resolved = replace(config, delta=config.source().delta,
+                       trunc=config.grating().trunc)
+    return [f"# {key} = {_echo_value(key, getattr(resolved, key))}"
             for key in CONFIG_KEYS]

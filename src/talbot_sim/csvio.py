@@ -10,7 +10,12 @@ from .model import Carpet, Pattern
 from .units import fmt
 
 
-def _write_text(path, lines) -> None:
+def _write_table(path, comments, header, *columns) -> None:
+    """Write the comment lines, the header line and one line per row of
+    the columns, each value in the fixed fmt format."""
+    lines = [*comments, header]
+    lines.extend(",".join(map(fmt, row))
+                 for row in np.column_stack(columns).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -23,37 +28,23 @@ def _x_over_d(pattern: Pattern) -> np.ndarray:
 
 def write_scan_csv(path, pattern: Pattern, comments=()) -> None:
     """Write a scan() curve: x_over_d, x_m, rate_normalized, rate_raw."""
-    xs = _x_over_d(pattern)
-    raw = pattern.values * pattern.meta["raw_max"]
-    lines = list(comments)
-    lines.append("x_over_d,x_m,rate_normalized,rate_raw")
-    for i in range(pattern.positions.size):
-        lines.append(",".join((fmt(xs[i]), fmt(pattern.positions[i]),
-                               fmt(pattern.values[i]), fmt(raw[i]))))
-    _write_text(path, lines)
+    _write_table(path, comments, "x_over_d,x_m,rate_normalized,rate_raw",
+                 _x_over_d(pattern), pattern.positions, pattern.values,
+                 pattern.values * pattern.meta["raw_max"])
 
 
 def write_carpet_csv(path, carp: Carpet, comments=()) -> None:
     """Write an intensity raster: first row the x axis, first column z."""
-    lines = list(comments)
-    lines.append("," + ",".join(fmt(x) for x in carp.x_axis))
-    for i in range(carp.z_axis.size):
-        lines.append(fmt(carp.z_axis[i]) + ","
-                     + ",".join(fmt(v) for v in carp.values[i]))
-    _write_text(path, lines)
+    _write_table(path, comments, "," + ",".join(fmt(x) for x in carp.x_axis),
+                 carp.z_axis, *carp.values.T)
 
 
 def write_mc_csv(path, pattern: Pattern, comments=()) -> None:
     """Write simulated counts: x_over_d, counts, error."""
     if pattern.errors is None:
         raise DomainError("count pattern carries no error bars")
-    xs = _x_over_d(pattern)
-    lines = list(comments)
-    lines.append("x_over_d,counts,error")
-    for i in range(pattern.positions.size):
-        lines.append(",".join((fmt(xs[i]), fmt(pattern.values[i]),
-                               fmt(pattern.errors[i]))))
-    _write_text(path, lines)
+    _write_table(path, comments, "x_over_d,counts,error", _x_over_d(pattern),
+                 pattern.values, pattern.errors)
 
 
 def write_oracle_csv(path, xs, analytic, oracle, comments=()) -> float:
@@ -72,10 +63,6 @@ def write_oracle_csv(path, xs, analytic, oracle, comments=()) -> float:
     if a_peak <= 0 or o_peak <= 0:
         raise DomainError("cannot compare curves with non-positive peaks")
     err = np.abs(analytic / a_peak - oracle / o_peak)
-    lines = list(comments)
-    lines.append("x,analytic,oracle,relative_error")
-    for i in range(xs.size):
-        lines.append(",".join((fmt(xs[i]), fmt(analytic[i]),
-                               fmt(oracle[i]), fmt(err[i]))))
-    _write_text(path, lines)
+    _write_table(path, comments, "x,analytic,oracle,relative_error",
+                 xs, analytic, oracle, err)
     return float(err.max())

@@ -189,20 +189,22 @@ def talbot_length(d: float, lam: float) -> float:
     return d * d / lam
 
 
-def effective_distance(z: float, z0: Optional[float] = None) -> float:
-    """Reduced propagation distance z*z0/(z+z0); plain z for a plane wave."""
-    _require(z > 0, "z must be positive")
+def effective_distance(z, z0: Optional[float] = None):
+    """Reduced propagation distance z*z0/(z+z0); plain z for a plane wave.
+    z may be a float or an array of them, every entry positive."""
+    _require(bool((np.asarray(z) > 0).all()), "z must be positive")
     if z0 is None:
         return z
     _require(z0 > 0, "z0 must be positive when given")
     return z * z0 / (z + z0)
 
 
-def magnification(z: float, z0: Optional[float] = None) -> float:
-    """Geometric stretch 1 + z/z0 of the pattern; 1 for a plane wave."""
-    _require(z > 0, "z must be positive")
+def magnification(z, z0: Optional[float] = None):
+    """Geometric stretch 1 + z/z0 of the pattern; 1 for a plane wave.
+    z may be a float or an array of them, every entry positive."""
+    _require(bool((np.asarray(z) > 0).all()), "z must be positive")
     if z0 is None:
-        return 1.0
+        return np.ones(np.shape(z)) if np.ndim(z) else 1.0
     _require(z0 > 0, "z0 must be positive when given")
     return 1.0 + z / z0
 

@@ -2,15 +2,17 @@
 
 Everything here comes from the harmonic expansion of the grating.  The
 field amplitude is psi(x) = sum_n c_n exp(i*n*a*x) with the chirped
-coefficients c_n = A_n exp(i*n^2*b).  Its intensity |psi|^2 has the
-harmonics C_q = sum_n c_{n+q} conj(c_n), q = 0..2*trunc, the
-autocorrelation of c: one FFT per wavelength sums them.  Every observable
-is then a cosine sum sum_q w_q cos(q*a*x).  The intensity takes
-w = (C_0, 2*C_1, 2*C_2, ...); slit and spectral averages fold the spectral
-weights and the slit factor into w once.  On an evenly spaced grid of P
-positions the sum is a chirp-z transform, one FFT convolution of about
-2*trunc + P points (_chirp_z); scalars and other positions cost 2*trunc
-cosines each.
+coefficients c_n = A_n exp(i*n^2*b), b = pi*lam*z_eff/d^2.  Its intensity
+|psi|^2 has the harmonics C_q = sum_n c_{n+q} conj(c_n), q = 0..2*trunc,
+the autocorrelation of c, which one FFT sums (_harmonics).  One engine,
+_plane_harmonics, gives every plane its spectrum-weighted harmonics
+H_q = sum_w weight_w C_q(b_w) and its a = 2*pi/(d*M).  Each observable is
+a cosine sum sum_q w_q cos(q*a*x) over them: the intensity and the carpet
+take w = (H_0, 2*H_1, 2*H_2, ...) of one node, the slit rate folds in the
+slit factor, and the revival search (analysis) correlates H_q with the
+grating's own harmonics.  On an evenly spaced grid of P positions the sum
+is a chirp-z transform, one FFT convolution of about 2*trunc + P points
+(_chirp_z); scalars and other positions cost 2*trunc cosines each.
 """
 
 from __future__ import annotations
@@ -178,26 +180,30 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
     return out
 
 
-def _intensity_rows(x, lam: float, source: SourceSpec, grating: GratingSpec,
-                    zs) -> np.ndarray:
-    """Intensity at the flattened positions x on each plane z of zs, one
-    row per plane.  Every row's C_q comes from batched _harmonics calls in
-    row chunks within _CHUNK_BUDGET doubles; the intensity is then the
-    cosine sum with weights C_0, 2*C_1, 2*C_2, ... and a = 2*pi/(d*M)."""
-    if lam <= 0:
+def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
+    """Spectrum-weighted harmonics (harm, a) of each plane z_i of zs:
+    harm[i] = sum_w weight_w * C_q(b_w(z_i)) over grid's (wavelength, weight)
+    nodes in order, b = pi*lam*z_eff/d^2, and a[i] = 2*pi/(d*M(z_i)).
+    _harmonics runs on blocks of nodes x planes within _CHUNK_BUDGET.
+    """
+    if len(grid) == 0:
+        raise DomainError("spectral grid is empty")
+    lams, weights = zip(*grid)
+    if any(lam <= 0 for lam in lams):
         raise DomainError("wavelength must be positive")
-    zeff = np.array([effective_distance(float(z), source.z0) for z in zs])
-    mag = np.array([magnification(float(z), source.z0) for z in zs])
-    bs = math.pi * lam * zeff / (grating.d ** 2)
-    a = grating.k_d / mag
-    chunk = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * _fft_size(grating)))
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    out = np.empty((bs.size, xs.size))
-    for lo in range(0, bs.size, chunk):
-        weights = 2.0 * _harmonics(grating, bs[lo:lo + chunk])
-        weights[:, 0] /= 2.0
-        out[lo:lo + chunk] = _cosine_sums(weights, a[lo:lo + chunk], xs)
-    return out
+    zs = np.asarray(zs, dtype=float)
+    zeff = effective_distance(zs, source.z0)
+    bs = np.multiply.outer(math.pi * np.array(lams), zeff) / (grating.d ** 2)
+    rows = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * _fft_size(grating)))
+    nodes = min(len(lams), rows)
+    planes = rows // nodes
+    harm = np.zeros((zs.size, 2 * grating.trunc + 1))
+    for lo in range(0, zs.size, planes):
+        for n0 in range(0, len(lams), nodes):
+            parts = _harmonics(grating, bs[n0:n0 + nodes, lo:lo + planes])
+            for weight, part in zip(weights[n0:n0 + nodes], parts):
+                harm[lo:lo + planes] += weight * part
+    return harm, grating.k_d / magnification(zs, source.z0)
 
 
 def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
@@ -210,7 +216,9 @@ def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
     harmonics, w = (C_0, 2*C_1, 2*C_2, ...): an evenly spaced grid costs
     one FFT convolution, any other x O(trunc) per position.
     """
-    vals = _intensity_rows(x, lam, source, grating, [z])[0]
+    harm, a = _plane_harmonics(source, grating, [(lam, 1.0)], [z])
+    harm[:, 1:] *= 2.0
+    vals = _cosine_sums(harm, a, x)[0]
     if np.isscalar(x):
         return float(vals[0])
     return vals.reshape(np.shape(x))
@@ -236,22 +244,12 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
     """
     if grid is None:
         grid = spectral_grid(source)
-    if len(grid) == 0:
-        raise DomainError("spectral grid is empty")
+    [harm], [a] = _plane_harmonics(source, grating, grid, [det.z])
     width = det.slit_width
-    zeff = effective_distance(det.z, source.z0)
-    a = grating.k_d / magnification(det.z, source.z0)
-    harmonics = np.zeros(2 * grating.trunc + 1)
-    for lam, weight in grid:
-        if lam <= 0:
-            raise DomainError("wavelength must be positive")
-        b = math.pi * lam * zeff / (grating.d ** 2)
-        harmonics += weight * _harmonics(grating, b)
-    qa = np.arange(1, harmonics.size) * a
-    weights = np.empty_like(harmonics)
-    weights[0] = harmonics[0] * width / 2.0
-    weights[1:] = 2.0 * harmonics[1:] * np.sin(qa * width / 2.0) / qa
-    vals = _cosine_sums(weights, a, np.asarray(x, dtype=float) + width / 2.0)[0]
+    qa = np.arange(1, harm.size) * a
+    harm[0] = harm[0] * width / 2.0
+    harm[1:] = 2.0 * harm[1:] * np.sin(qa * width / 2.0) / qa
+    vals = _cosine_sums(harm, a, np.asarray(x, dtype=float) + width / 2.0)[0]
     if np.isscalar(x):
         return float(vals[0])
     return vals.reshape(np.shape(x))
@@ -291,9 +289,9 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     """Monochromatic intensity on a full (z, x) raster.
 
     Row i holds the pattern at z_grid[i].  With norm="per-column-max-one"
-    each x column is rescaled to peak at 1 across z.  The rows are
-    computed together: one batched _harmonics call and one chirp-z pass
-    per chunk of rows (see _intensity_rows).
+    each x column is rescaled to peak at 1 across z.  The rows go in passes
+    of one _plane_harmonics call and one batched _cosine_sums; a pass's
+    harmonics hold at most _CHUNK_BUDGET/_DOUBLES_PER_POINT doubles.
     """
     if lam is None:
         lam = source.lambda0
@@ -301,7 +299,14 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     zs = np.asarray(z_grid, dtype=float)
     if zs.size == 0:
         raise DomainError("carpet z grid is empty")
-    values = _intensity_rows(xs, lam, source, grating, zs)
+    values = np.empty((zs.size, xs.size))
+    rows = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT
+                                    * (2 * grating.trunc + 1)))
+    for lo in range(0, zs.size, rows):
+        harm, a = _plane_harmonics(source, grating, [(lam, 1.0)],
+                                   zs[lo:lo + rows])
+        harm[:, 1:] *= 2.0
+        values[lo:lo + rows] = _cosine_sums(harm, a, xs)
     if norm == NORM_COLUMN_MAX_ONE:
         peaks = values.max(axis=0)
         if np.any(peaks <= 0):

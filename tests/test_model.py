@@ -90,6 +90,28 @@ def test_magnification_matches_distance_ratio():
     assert magnification(0.174, Z0) == pytest.approx(1.0875, abs=1e-12)
 
 
+@pytest.mark.parametrize("z0", [None, Z0])
+def test_distance_and_magnification_of_an_array_match_scalar_calls(z0):
+    zs = np.array([0.01, 0.16, 0.174, 0.9])
+    zeff = effective_distance(zs, z0)
+    mag = magnification(zs, z0)
+    assert zeff.shape == mag.shape == zs.shape
+    assert np.array_equal(zeff, [effective_distance(float(z), z0) for z in zs])
+    assert np.array_equal(mag, [magnification(float(z), z0) for z in zs])
+    assert type(effective_distance(0.16, z0)) is float
+    assert type(magnification(0.16, z0)) is float
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("z0", [None, Z0])
+def test_distance_and_magnification_reject_a_nonpositive_entry(bad, z0):
+    zs = np.array([0.16, bad, 0.2])
+    with pytest.raises(DomainError):
+        effective_distance(zs, z0)
+    with pytest.raises(DomainError):
+        magnification(zs, z0)
+
+
 def test_beta_from_fwhm_inverts_half_maximum():
     # the spectral weight exp(-(dl/beta)**2) must be 1/2 at dl = FWHM/2
     beta = beta_from_fwhm(FWHM)

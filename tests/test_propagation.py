@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
                         effective_distance, fresnel_intensity, intensity,
                         magnification, polychromatic_rate, scan, slit_rate,
                         truncated_transmission, visibility)
+from talbot_sim import propagation
 from talbot_sim.grating import coefficient_table
 from talbot_sim.propagation import (_cosine_sums, _direct_cosine_sums,
-                                    _harmonics)
+                                    _harmonics, _plane_harmonics)
 
 from helpers import (D, FWHM, LAMBDA0, TALBOT, Z0, baseline_detection,
                      baseline_grating, plane_source, point_source)
@@ -376,3 +378,32 @@ def test_carpet_small_open_fraction_stays_small_in_memory():
         tracemalloc.stop()
     assert carp.values.shape == (128, 256)
     assert peak < 100e6
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=st.lists(st.tuples(st.floats(600e-9, 1000e-9),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=5),
+       zs=st.lists(st.floats(1e-3, 0.4), min_size=1, max_size=20),
+       point=st.booleans(), rows=st.integers(1, 30))
+def test_plane_harmonics_is_the_node_order_sum(nodes, zs, point, rows):
+    # each row is the weighted node sum, in node order, bit for bit, however
+    # the budget splits the nodes x planes blocks (rows per _harmonics
+    # call); and a carpet row, batched with the others, is intensity at its z
+    src = point_source() if point else plane_source()
+    g = baseline_grating(f=0.3, trunc=40)
+    budget = rows * propagation._DOUBLES_PER_POINT * propagation._fft_size(g)
+    with mock.patch.object(propagation, "_CHUNK_BUDGET", budget):
+        harm, a = _plane_harmonics(src, g, nodes, zs)
+    assert harm.shape == (len(zs), 2 * g.trunc + 1)
+    for i, z in enumerate(zs):
+        want = np.zeros(2 * g.trunc + 1)
+        for lam, weight in nodes:
+            b = math.pi * lam * effective_distance(z, src.z0) / D ** 2
+            want += weight * _harmonics(g, b)
+        assert np.array_equal(harm[i], want)
+        assert a[i] == g.k_d / magnification(z, src.z0)
+    xs = np.linspace(-D, D, 33)
+    planes = sorted(set(zs))
+    carp = carpet(src, g, xs, planes)
+    for row, z in zip(carp.values, planes):
+        assert np.array_equal(row, intensity(xs, LAMBDA0, src, g, z))
