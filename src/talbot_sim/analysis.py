@@ -9,13 +9,18 @@ import numpy as np
 
 from .errors import DomainError
 from .model import GratingSpec, Pattern, SourceSpec
-from .propagation import (_CHUNK_BUDGET, _DOUBLES_PER_POINT, _fft_size,
-                          _harmonics, _plane_harmonics)
+from .propagation import (_MIN_ROW_POINTS, _fft_size, _harmonics,
+                          _plane_harmonics)
 
 # Orders kept while the revival search locates the main lobe: the lobe
 # narrows roughly as 1/trunc^2, and the default coarse grid stops
 # resolving it above about 80 orders (at 200 it lands on a sidelobe).
 _SEARCH_TRUNC = 80
+
+# The revival zoom scores _ZOOM_POINTS distances a round and stops once
+# its radius is under _ZOOM_XTOL meters.
+_ZOOM_POINTS = 9
+_ZOOM_XTOL = 1e-12
 
 
 def visibility(pattern: Pattern) -> float:
@@ -88,11 +93,9 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     evaluates it on a grid of at least 256 shifts that holds harmonic
     2*trunc below its Nyquist bin.  A plane or profile whose standard
     deviation sqrt(2*sum C_q^2) is at rounding level against its mean C_0
-    scores 0.  Planes are scored in chunks that keep the scratch within
-    _CHUNK_BUDGET doubles.
+    scores 0.  Planes are scored a _plane_harmonics block at a time.
     """
-    size = max(256, _fft_size(grating))
-    rows = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * size))
+    size = max(_MIN_ROW_POINTS, _fft_size(grating))
     ref = _harmonics(grating, 0.0)
     ref_norm = float(_structure(ref))
 
@@ -100,15 +103,14 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
         out = np.zeros(len(zs))
         if ref_norm == 0.0:
             return out
-        for lo in range(0, len(zs), rows):
-            harm, _ = _plane_harmonics(source, grating, [(lam, 1.0)],
-                                       zs[lo:lo + rows])
+        for rows, harm, _ in _plane_harmonics(source, grating, [(lam, 1.0)],
+                                              zs):
             norm = _structure(harm) * ref_norm
             cross = harm * ref
             cross[:, 0] = 0.0
             # irfft returns (2/size) * sum_q cross_q cos(2*pi*q*m/size)
             peak = np.fft.irfft(cross, size).max(axis=1) * (size / 2.0)
-            np.divide(peak, norm, out=out[lo:lo + rows], where=norm > 0.0)
+            np.divide(peak, norm, out=out[rows], where=norm > 0.0)
         return out
 
     return scores
@@ -123,15 +125,16 @@ def _structure(harm: np.ndarray) -> np.ndarray:
 
 
 def _zoom(scores, z: float, score: float, radius: float, lo: float,
-          hi: float, xtol: float = 1e-12, points: int = 9) -> float:
+          hi: float) -> float:
     """Shrinking grid search around z, which has already scored score.
 
-    Each round scores points distances within radius of z in one batch,
-    moves z to the best of them if it beats score, and cuts the radius by
-    4, until the radius is under xtol.  Returns the final z.
+    Each round scores _ZOOM_POINTS distances within radius of z in one
+    batch, moves z to the best of them if it beats score, and cuts the
+    radius by 4, until the radius is under _ZOOM_XTOL.  Returns the final z.
     """
-    while radius >= xtol:
-        grid = np.linspace(max(lo, z - radius), min(hi, z + radius), points)
+    while radius >= _ZOOM_XTOL:
+        grid = np.linspace(max(lo, z - radius), min(hi, z + radius),
+                           _ZOOM_POINTS)
         vals = scores(grid)
         i = int(np.argmax(vals))
         if vals[i] > score:

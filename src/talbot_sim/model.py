@@ -22,6 +22,10 @@ SOURCE_DIVERGENCE_RAD = 0.5e-3
 # Illuminated half-width fallback for collimated (plane wave) runs.
 PLANE_WAVE_DELTA_M = 1.0e-3
 
+# Cap on the scratch of one pass, in doubles: an engine block of planes
+# (propagation) or a block of probes (oracle).
+SCRATCH_BUDGET = 4_000_000
+
 NORM_RAW = "raw"
 NORM_MAX_ONE = "max-one"
 NORM_COLUMN_MAX_ONE = "per-column-max-one"

@@ -30,14 +30,11 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResolutionCapError
-from .model import GratingSpec, SourceSpec, effective_distance
+from .model import SCRATCH_BUDGET, GratingSpec, SourceSpec, effective_distance
 
 # Budget of open windows per field evaluation.  The widest aperture the
 # test suite integrates, 31.25 m at d = 360 um, opens about 1.7e5.
 DEFAULT_MAX_WINDOWS = 1_000_000
-
-# Cap on each scratch matrix (window edges x probes) in doubles.
-_CHUNK_BUDGET = 1_000_000
 
 
 def _window_edges(g: GratingSpec, half_width: float,
@@ -104,7 +101,9 @@ def _fields(xs: np.ndarray, lam: float, source: SourceSpec, g: GratingSpec,
                  + k * xs ** 2 / (2.0 * (z + source.z0)))
 
     sums = np.empty(xs.shape, dtype=complex)
-    block = max(1, _CHUNK_BUDGET // edges.size)
+    # the argument, S and C matrices and their temporaries: about 4 doubles
+    # per window edge and probe
+    block = max(1, SCRATCH_BUDGET // (4 * edges.size))
     for i in range(0, xs.size, block):
         j = min(i + block, xs.size)
         s, c = fresnel(scale * np.subtract.outer(edges, centers[i:j]))

@@ -23,18 +23,19 @@ import numpy as np
 
 from .errors import DomainError
 from .grating import coefficient_table
-from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW, Carpet,
-                    DetectionSpec, GratingSpec, Pattern, SourceSpec,
-                    effective_distance, magnification, spectral_grid)
-
-# Cap on the scratch of one pass (rows x FFT points, or harmonics x
-# positions) in doubles.
-_CHUNK_BUDGET = 4_000_000
+from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW,
+                    SCRATCH_BUDGET, Carpet, DetectionSpec, GratingSpec,
+                    Pattern, SourceSpec, effective_distance, magnification,
+                    spectral_grid)
 
 # Scratch doubles per row and per FFT point: the complex chirp, spectrum
 # and product rows and their real temporaries (tracemalloc reads about 9
 # in the revival scorer at trunc 8000, 10 to 11 in a chirp-z pass).
 _DOUBLES_PER_POINT = 12
+
+# A row is costed at no fewer points than this, the floor of the revival
+# scorer's shift grid (analysis), so its irfft of a block fits the budget.
+_MIN_ROW_POINTS = 256
 
 
 def _fft_size(grating: GratingSpec) -> int:
@@ -139,10 +140,10 @@ def _chirp_z(weights: np.ndarray, nu: np.ndarray, x0: float, step: float,
 def _direct_cosine_sums(weights: np.ndarray, a: np.ndarray,
                         xs: np.ndarray) -> np.ndarray:
     """The cosine sums of _cosine_sums by one cosine per harmonic and
-    position, in blocks of positions within _CHUNK_BUDGET doubles."""
+    position, in blocks of positions within SCRATCH_BUDGET doubles."""
     rows, size = weights.shape
     out = np.empty((rows, xs.size))
-    block = max(1, _CHUNK_BUDGET // size)
+    block = max(1, SCRATCH_BUDGET // size)
     for r in range(rows):
         qa = np.arange(size) * a[r]
         for lo in range(0, xs.size, block):
@@ -155,9 +156,11 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
     """sum_q weights[r, q] cos(q*a[r]*x) for every row r of weights and
     every position x (flattened): an array of shape (rows, x.size).
 
-    Evenly spaced positions (at least two) go through _chirp_z, in passes
-    of positions and rows whose scratch stays within _CHUNK_BUDGET
-    doubles; scalars and other positions take _direct_cosine_sums.
+    The rows are one _plane_harmonics block.  Evenly spaced positions (at
+    least two) go through _chirp_z, all rows at once, in passes of
+    positions that keep the block's scratch within SCRATCH_BUDGET doubles
+    (a pass takes at least as many positions as there are harmonics);
+    scalars and other positions take _direct_cosine_sums.
     """
     weights = np.atleast_2d(weights)
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -166,25 +169,29 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
     if step is None:
         return _direct_cosine_sums(weights, a, xs)
     rows, size = weights.shape
-    count = min(xs.size, max(size, _CHUNK_BUDGET // _DOUBLES_PER_POINT - size))
+    count = min(xs.size, max(size, SCRATCH_BUDGET
+                             // (_DOUBLES_PER_POINT * rows) - size))
     length = _fast_length(size + count - 1)
-    chunk = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * length))
     nu = a / (2.0 * math.pi)
     out = np.empty((rows, xs.size))
-    for r in range(0, rows, chunk):
-        for lo in range(0, xs.size, count):
-            hi = min(lo + count, xs.size)
-            out[r:r + chunk, lo:hi] = _chirp_z(weights[r:r + chunk],
-                                               nu[r:r + chunk], xs[lo],
-                                               step, hi - lo, length)
+    for lo in range(0, xs.size, count):
+        hi = min(lo + count, xs.size)
+        out[:, lo:hi] = _chirp_z(weights, nu, xs[lo], step, hi - lo, length)
     return out
 
 
 def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
-    """Spectrum-weighted harmonics (harm, a) of each plane z_i of zs:
-    harm[i] = sum_w weight_w * C_q(b_w(z_i)) over grid's (wavelength, weight)
-    nodes in order, b = pi*lam*z_eff/d^2, and a[i] = 2*pi/(d*M(z_i)).
-    _harmonics runs on blocks of nodes x planes within _CHUNK_BUDGET.
+    """Spectrum-weighted harmonics of the planes zs, yielded as blocks
+    (rows, harm, a) in order: rows is the slice of zs the block covers,
+    harm[i] = sum_w weight_w * C_q(b_w(z_i)) over grid's (wavelength,
+    weight) nodes in order, b = pi*lam*z_eff/d^2, and a[i] = 2*pi/(d*M(z_i)).
+
+    This is the one place that sizes passes over planes: a block holds as
+    many planes as fit SCRATCH_BUDGET at _DOUBLES_PER_POINT doubles per
+    point of a row (the FFT of _harmonics, at least _MIN_ROW_POINTS), and
+    each _harmonics call takes at most that many node x plane rows.  What
+    a caller runs on one block (a chirp-z pass, the revival scorer's
+    irfft) stays within the same budget.
     """
     if len(grid) == 0:
         raise DomainError("spectral grid is empty")
@@ -194,16 +201,19 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     zs = np.asarray(zs, dtype=float)
     zeff = effective_distance(zs, source.z0)
     bs = np.multiply.outer(math.pi * np.array(lams), zeff) / (grating.d ** 2)
-    rows = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT * _fft_size(grating)))
+    a = grating.k_d / magnification(zs, source.z0)
+    points = max(_MIN_ROW_POINTS, _fft_size(grating))
+    rows = max(1, SCRATCH_BUDGET // (_DOUBLES_PER_POINT * points))
     nodes = min(len(lams), rows)
     planes = rows // nodes
-    harm = np.zeros((zs.size, 2 * grating.trunc + 1))
     for lo in range(0, zs.size, planes):
+        block = slice(lo, lo + planes)
+        harm = np.zeros((a[block].size, 2 * grating.trunc + 1))
         for n0 in range(0, len(lams), nodes):
-            parts = _harmonics(grating, bs[n0:n0 + nodes, lo:lo + planes])
+            parts = _harmonics(grating, bs[n0:n0 + nodes, block])
             for weight, part in zip(weights[n0:n0 + nodes], parts):
-                harm[lo:lo + planes] += weight * part
-    return harm, grating.k_d / magnification(zs, source.z0)
+                harm += weight * part
+        yield block, harm, a[block]
 
 
 def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
@@ -216,7 +226,7 @@ def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
     harmonics, w = (C_0, 2*C_1, 2*C_2, ...): an evenly spaced grid costs
     one FFT convolution, any other x O(trunc) per position.
     """
-    harm, a = _plane_harmonics(source, grating, [(lam, 1.0)], [z])
+    [(_, harm, a)] = _plane_harmonics(source, grating, [(lam, 1.0)], [z])
     harm[:, 1:] *= 2.0
     vals = _cosine_sums(harm, a, x)[0]
     if np.isscalar(x):
@@ -244,7 +254,7 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
     """
     if grid is None:
         grid = spectral_grid(source)
-    [harm], [a] = _plane_harmonics(source, grating, grid, [det.z])
+    [(_, [harm], [a])] = _plane_harmonics(source, grating, grid, [det.z])
     width = det.slit_width
     qa = np.arange(1, harm.size) * a
     harm[0] = harm[0] * width / 2.0
@@ -289,9 +299,8 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     """Monochromatic intensity on a full (z, x) raster.
 
     Row i holds the pattern at z_grid[i].  With norm="per-column-max-one"
-    each x column is rescaled to peak at 1 across z.  The rows go in passes
-    of one _plane_harmonics call and one batched _cosine_sums; a pass's
-    harmonics hold at most _CHUNK_BUDGET/_DOUBLES_PER_POINT doubles.
+    each x column is rescaled to peak at 1 across z.  Each
+    _plane_harmonics block of rows takes one batched _cosine_sums.
     """
     if lam is None:
         lam = source.lambda0
@@ -300,13 +309,9 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     if zs.size == 0:
         raise DomainError("carpet z grid is empty")
     values = np.empty((zs.size, xs.size))
-    rows = max(1, _CHUNK_BUDGET // (_DOUBLES_PER_POINT
-                                    * (2 * grating.trunc + 1)))
-    for lo in range(0, zs.size, rows):
-        harm, a = _plane_harmonics(source, grating, [(lam, 1.0)],
-                                   zs[lo:lo + rows])
+    for rows, harm, a in _plane_harmonics(source, grating, [(lam, 1.0)], zs):
         harm[:, 1:] *= 2.0
-        values[lo:lo + rows] = _cosine_sums(harm, a, xs)
+        values[rows] = _cosine_sums(harm, a, xs)
     if norm == NORM_COLUMN_MAX_ONE:
         peaks = values.max(axis=0)
         if np.any(peaks <= 0):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
                         effective_distance, fresnel_intensity, intensity,
-                        magnification, polychromatic_rate, scan, slit_rate,
-                        truncated_transmission, visibility)
+                        magnification, polychromatic_rate, revival_distance,
+                        scan, slit_rate, truncated_transmission, visibility)
 from talbot_sim import propagation
 from talbot_sim.grating import coefficient_table
 from talbot_sim.propagation import (_cosine_sums, _direct_cosine_sums,
@@ -277,6 +277,11 @@ def test_carpet_rejects_empty_z_grid():
         carpet(plane_source(), baseline_grating(), np.linspace(-D, D, 5), [])
 
 
+def _row_points(grating):
+    """The FFT points _plane_harmonics costs a row at."""
+    return max(propagation._MIN_ROW_POINTS, propagation._fft_size(grating))
+
+
 def _intensity_weights(grating, source, z):
     """Cosine-sum weights C_0, 2*C_1, 2*C_2, ... of the plane at z, as
     one row, and the plane's mean intensity C_0."""
@@ -386,14 +391,21 @@ def test_carpet_small_open_fraction_stays_small_in_memory():
        zs=st.lists(st.floats(1e-3, 0.4), min_size=1, max_size=20),
        point=st.booleans(), rows=st.integers(1, 30))
 def test_plane_harmonics_is_the_node_order_sum(nodes, zs, point, rows):
-    # each row is the weighted node sum, in node order, bit for bit, however
-    # the budget splits the nodes x planes blocks (rows per _harmonics
-    # call); and a carpet row, batched with the others, is intensity at its z
+    # the blocks cover the planes in order, each within the budget (rows
+    # per _harmonics call); each row is the weighted node sum, in node
+    # order, bit for bit, however the budget splits the nodes x planes
+    # blocks; and a carpet row, batched with the others, is intensity at
+    # its z
     src = point_source() if point else plane_source()
     g = baseline_grating(f=0.3, trunc=40)
-    budget = rows * propagation._DOUBLES_PER_POINT * propagation._fft_size(g)
-    with mock.patch.object(propagation, "_CHUNK_BUDGET", budget):
-        harm, a = _plane_harmonics(src, g, nodes, zs)
+    budget = rows * propagation._DOUBLES_PER_POINT * _row_points(g)
+    with mock.patch.object(propagation, "SCRATCH_BUDGET", budget):
+        blocks = list(_plane_harmonics(src, g, nodes, zs))
+    covered = np.concatenate([np.arange(len(zs))[r] for r, _, _ in blocks])
+    assert np.array_equal(covered, np.arange(len(zs)))
+    assert all(len(h) <= max(1, rows // len(nodes)) for _, h, _ in blocks)
+    harm = np.concatenate([h for _, h, _ in blocks])
+    a = np.concatenate([a for _, _, a in blocks])
     assert harm.shape == (len(zs), 2 * g.trunc + 1)
     for i, z in enumerate(zs):
         want = np.zeros(2 * g.trunc + 1)
@@ -407,3 +419,23 @@ def test_plane_harmonics_is_the_node_order_sum(nodes, zs, point, rows):
     carp = carpet(src, g, xs, planes)
     for row, z in zip(carp.values, planes):
         assert np.array_equal(row, intensity(xs, LAMBDA0, src, g, z))
+
+
+def test_split_blocks_leave_carpet_and_revival_unchanged():
+    # a budget of three planes per block splits the carpet's rows and the
+    # revival scorer's planes into many blocks; neither result may move a
+    # bit.  129 positions are fewer than the 161 harmonics, so the carpet
+    # keeps one position pass at any budget.
+    g = baseline_grating(f=0.1)
+    src = point_source()
+    xs = np.linspace(-D, D, 129)
+    zs = np.linspace(0.05, 0.3, 20)
+    want = carpet(src, g, xs, zs).values
+    want_z = revival_distance(src, g, LAMBDA0, 0.15, 0.2)
+    budget = 3 * propagation._DOUBLES_PER_POINT * _row_points(g)
+    with mock.patch.object(propagation, "SCRATCH_BUDGET", budget):
+        assert len(list(_plane_harmonics(src, g, [(LAMBDA0, 1.0)], zs))) == 7
+        got = carpet(src, g, xs, zs).values
+        got_z = revival_distance(src, g, LAMBDA0, 0.15, 0.2)
+    assert np.array_equal(got, want)
+    assert got_z == want_z
