@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import GratingSpec, Pattern, SourceSpec
-from .propagation import (_MIN_ROW_POINTS, _fft_size, _harmonics,
+from .propagation import (_MIN_ROW_POINTS, _fast_length, _harmonics,
                           _plane_harmonics)
 
 # Orders kept while the revival search locates the main lobe: the lobe
@@ -90,12 +90,13 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     magnification only stretches the pattern and drops out.  The mean-free
     correlation at shift phi (in periods) is sum_{q>=1} C_q R_q
     cos(2*pi*q*phi) over sqrt(sum C_q^2 * sum R_q^2); one irfft per plane
-    evaluates it on a grid of at least 256 shifts that holds harmonic
-    2*trunc below its Nyquist bin.  A plane or profile whose standard
+    evaluates it on a grid of max(256, 2*_fast_length(2*trunc + 1))
+    shifts: even, so phi = 1/2 is on it, and above 4*trunc, so harmonic
+    2*trunc stays below its Nyquist bin.  A plane or profile whose standard
     deviation sqrt(2*sum C_q^2) is at rounding level against its mean C_0
     scores 0.  Planes are scored a _plane_harmonics block at a time.
     """
-    size = max(_MIN_ROW_POINTS, _fft_size(grating))
+    size = max(_MIN_ROW_POINTS, 2 * _fast_length(2 * grating.trunc + 1))
     ref = _harmonics(grating, 0.0)
     ref_norm = float(_structure(ref))
 

@@ -38,12 +38,6 @@ _DOUBLES_PER_POINT = 12
 _MIN_ROW_POINTS = 256
 
 
-def _fft_size(grating: GratingSpec) -> int:
-    """Length of the zero-padded FFT in _harmonics: the smallest power of
-    two above 4*trunc + 1, which holds harmonic 2*trunc without wrapping."""
-    return 1 << (4 * grating.trunc + 1).bit_length()
-
-
 def _fast_length(n: int) -> int:
     """The smallest 2^i * 3^j * 5^k >= n, a length numpy's FFT does fast."""
     best = 1 << (n - 1).bit_length()
@@ -62,14 +56,15 @@ def _harmonics(grating: GratingSpec, b) -> np.ndarray:
 
     c_n = A_n exp(i*n^2*b).  b may be a scalar or an array; each value of
     b gives one row of C_q, and the FFTs run row-wise along the last axis.
-    The zero-padded FFT holds at least 2*(2*trunc+1) points, so the
-    circular autocorrelation |F|^2 does not wrap.  A_-n = A_n makes c even
+    The zero-padded FFT holds _fast_length(4*trunc + 1) points, so the
+    circular autocorrelation |F|^2 of the 2*trunc + 1 coefficients does
+    not wrap.  A_-n = A_n makes c even
     in n and so C_q real; the rounding residue of the imaginary part is
     dropped.
     """
     ns, amps = coefficient_table(grating)
     chirped = amps * np.exp(np.multiply.outer(1j * np.asarray(b), ns * ns))
-    spectrum = np.fft.fft(chirped, _fft_size(grating))
+    spectrum = np.fft.fft(chirped, _fast_length(4 * grating.trunc + 1))
     power = spectrum.real ** 2 + spectrum.imag ** 2
     return np.fft.ifft(power)[..., :ns.size].real
 
@@ -202,7 +197,7 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     zeff = effective_distance(zs, source.z0)
     bs = np.multiply.outer(math.pi * np.array(lams), zeff) / (grating.d ** 2)
     a = grating.k_d / magnification(zs, source.z0)
-    points = max(_MIN_ROW_POINTS, _fft_size(grating))
+    points = max(_MIN_ROW_POINTS, _fast_length(4 * grating.trunc + 1))
     rows = max(1, SCRATCH_BUDGET // (_DOUBLES_PER_POINT * points))
     nodes = min(len(lams), rows)
     planes = rows // nodes

@@ -279,7 +279,8 @@ def test_carpet_rejects_empty_z_grid():
 
 def _row_points(grating):
     """The FFT points _plane_harmonics costs a row at."""
-    return max(propagation._MIN_ROW_POINTS, propagation._fft_size(grating))
+    return max(propagation._MIN_ROW_POINTS,
+               propagation._fast_length(4 * grating.trunc + 1))
 
 
 def _intensity_weights(grating, source, z):
