@@ -17,10 +17,8 @@ from .propagation import (_MIN_ROW_POINTS, _fast_length, _harmonics,
 # resolving it above about 80 orders (at 200 it lands on a sidelobe).
 _SEARCH_TRUNC = 80
 
-# The revival zoom scores _ZOOM_POINTS distances a round and stops once
-# its radius is under _ZOOM_XTOL meters.
-_ZOOM_POINTS = 9
-_ZOOM_XTOL = 1e-12
+# Distances the revival zoom scores a round, and its final radius (m).
+_ZOOM_POINTS, _ZOOM_XTOL = 9, 1e-12
 
 
 def visibility(pattern: Pattern) -> float:
@@ -90,11 +88,10 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     magnification only stretches the pattern and drops out.  The mean-free
     correlation at shift phi (in periods) is sum_{q>=1} C_q R_q
     cos(2*pi*q*phi) over sqrt(sum C_q^2 * sum R_q^2); one irfft per plane
-    evaluates it on a grid of max(256, 2*_fast_length(2*trunc + 1))
-    shifts: even, so phi = 1/2 is on it, and above 4*trunc, so harmonic
-    2*trunc stays below its Nyquist bin.  A plane or profile whose standard
-    deviation sqrt(2*sum C_q^2) is at rounding level against its mean C_0
-    scores 0.  Planes are scored a _plane_harmonics block at a time.
+    evaluates it on max(256, 2*_fast_length(2*trunc + 1)) shifts: even, so
+    phi = 1/2 is on the grid, and above 4*trunc, so harmonic 2*trunc is
+    below its Nyquist bin.  A plane or profile whose standard deviation
+    sqrt(2*sum C_q^2) is at rounding level against its mean C_0 scores 0.
     """
     size = max(_MIN_ROW_POINTS, 2 * _fast_length(2 * grating.trunc + 1))
     ref = _harmonics(grating, 0.0)

@@ -22,8 +22,7 @@ SOURCE_DIVERGENCE_RAD = 0.5e-3
 # Illuminated half-width fallback for collimated (plane wave) runs.
 PLANE_WAVE_DELTA_M = 1.0e-3
 
-# Cap on the scratch of one pass, in doubles: an engine block of planes
-# (propagation) or a block of probes (oracle).
+# Cap in doubles on the scratch of one engine or oracle pass.
 SCRATCH_BUDGET = 4_000_000
 
 NORM_RAW = "raw"
@@ -230,7 +229,7 @@ def spectral_grid(source: SourceSpec, samples: int = 41,
     """
     _require(samples >= 1, "samples must be >= 1")
     _require(samples % 2 == 1, "samples must be odd")
-    _require(span > 0, "span must be positive")
+    _require(0 < span < math.inf, "span must be positive and finite")
     if source.beta == 0.0 or samples == 1:
         return [(source.lambda0, 1.0)]
     half = samples // 2

@@ -101,8 +101,7 @@ def _fields(xs: np.ndarray, lam: float, source: SourceSpec, g: GratingSpec,
                  + k * xs ** 2 / (2.0 * (z + source.z0)))
 
     sums = np.empty(xs.shape, dtype=complex)
-    # the argument, S and C matrices and their temporaries: about 4 doubles
-    # per window edge and probe
+    # about 4 doubles of scratch per window edge and probe
     block = max(1, SCRATCH_BUDGET // (4 * edges.size))
     for i in range(0, xs.size, block):
         j = min(i + block, xs.size)

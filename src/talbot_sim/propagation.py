@@ -30,12 +30,9 @@ from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW,
 
 # Scratch doubles per row and per FFT point: the complex chirp, spectrum
 # and product rows and their real temporaries (tracemalloc reads about 9
-# in the revival scorer at trunc 8000, 10 to 11 in a chirp-z pass).
-_DOUBLES_PER_POINT = 12
-
-# A row is costed at no fewer points than this, the floor of the revival
-# scorer's shift grid (analysis), so its irfft of a block fits the budget.
-_MIN_ROW_POINTS = 256
+# in the revival scorer at trunc 8000, 10 to 11 in a chirp-z pass).  Rows
+# cost at least _MIN_ROW_POINTS, the revival scorer's smallest shift grid.
+_DOUBLES_PER_POINT, _MIN_ROW_POINTS = 12, 256
 
 
 def _fast_length(n: int) -> int:
@@ -56,11 +53,10 @@ def _harmonics(grating: GratingSpec, b) -> np.ndarray:
 
     c_n = A_n exp(i*n^2*b).  b may be a scalar or an array; each value of
     b gives one row of C_q, and the FFTs run row-wise along the last axis.
-    The zero-padded FFT holds _fast_length(4*trunc + 1) points, so the
-    circular autocorrelation |F|^2 of the 2*trunc + 1 coefficients does
-    not wrap.  A_-n = A_n makes c even
-    in n and so C_q real; the rounding residue of the imaginary part is
-    dropped.
+    The FFT, zero-padded to _fast_length(4*trunc + 1) points, holds the
+    circular autocorrelation |F|^2 of the 2*trunc + 1 coefficients without
+    wrapping.  A_-n = A_n makes c even in n and so C_q real; the rounding
+    residue of the imaginary part is dropped.
     """
     ns, amps = coefficient_table(grating)
     chirped = amps * np.exp(np.multiply.outer(1j * np.asarray(b), ns * ns))
@@ -152,10 +148,9 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
     every position x (flattened): an array of shape (rows, x.size).
 
     The rows are one _plane_harmonics block.  Evenly spaced positions (at
-    least two) go through _chirp_z, all rows at once, in passes of
-    positions that keep the block's scratch within SCRATCH_BUDGET doubles
-    (a pass takes at least as many positions as there are harmonics);
-    scalars and other positions take _direct_cosine_sums.
+    least two) go through _chirp_z, in passes of positions sized to the
+    block's rows within SCRATCH_BUDGET doubles; scalars and other
+    positions take _direct_cosine_sums.
     """
     weights = np.atleast_2d(weights)
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -176,17 +171,12 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
 
 
 def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
-    """Spectrum-weighted harmonics of the planes zs, yielded as blocks
-    (rows, harm, a) in order: rows is the slice of zs the block covers,
-    harm[i] = sum_w weight_w * C_q(b_w(z_i)) over grid's (wavelength,
-    weight) nodes in order, b = pi*lam*z_eff/d^2, and a[i] = 2*pi/(d*M(z_i)).
-
-    This is the one place that sizes passes over planes: a block holds as
-    many planes as fit SCRATCH_BUDGET at _DOUBLES_PER_POINT doubles per
-    point of a row (the FFT of _harmonics, at least _MIN_ROW_POINTS), and
-    each _harmonics call takes at most that many node x plane rows.  What
-    a caller runs on one block (a chirp-z pass, the revival scorer's
-    irfft) stays within the same budget.
+    """Spectrum-weighted harmonics of the planes zs, in blocks (rows, harm,
+    a) in order.  rows is the slice of zs a block covers, harm[i] =
+    sum_w weight_w * C_q(b_w(z_i)) over grid's (wavelength, weight) nodes
+    in order, b = pi*lam*z_eff/d^2, and a[i] = 2*pi/(d*M(z_i)).  This is
+    the one sizing of passes over planes: a block, and each _harmonics
+    call in it, holds as many node x plane rows as SCRATCH_BUDGET allows.
     """
     if len(grid) == 0:
         raise DomainError("spectral grid is empty")

@@ -6,6 +6,7 @@ All internal lengths are meters.  Input text may attach a unit suffix
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ConfigError
@@ -22,16 +23,23 @@ _LENGTH_UNITS = {
 _VALUE_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$")
 
 
-def parse_length(text: str) -> float:
-    """Parse a length like '360 um', '160mm' or '8.1e-7' into meters."""
+def _number(text: str, what: str) -> tuple[float, str]:
+    """The finite number in text and its unit suffix ('' if none)."""
     m = _VALUE_RE.match(text)
     if not m:
-        raise ConfigError(f"cannot parse length value {text!r}")
-    num, unit = m.groups()
+        raise ConfigError(f"cannot parse {what} value {text!r}")
     try:
-        value = float(num)
+        value = float(m.group(1))
     except ValueError:
         raise ConfigError(f"cannot parse number in {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"number out of range in {text!r}")
+    return value, m.group(2)
+
+
+def parse_length(text: str) -> float:
+    """Parse a length like '360 um', '160mm' or '8.1e-7' into meters."""
+    value, unit = _number(text, "length")
     if unit == "":
         return value
     try:
@@ -44,13 +52,10 @@ def parse_length(text: str) -> float:
 
 def parse_float(text: str) -> float:
     """Parse a dimensionless value; unit suffixes are rejected."""
-    m = _VALUE_RE.match(text)
-    if not m or m.group(2) != "":
+    value, unit = _number(text, "dimensionless")
+    if unit != "":
         raise ConfigError(f"cannot parse dimensionless value {text!r}")
-    try:
-        return float(m.group(1))
-    except ValueError:
-        raise ConfigError(f"cannot parse number in {text!r}") from None
+    return value
 
 
 def parse_int(text: str) -> int:

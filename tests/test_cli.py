@@ -69,6 +69,14 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
     bad.write_text("f = quick\n", encoding="utf-8")
     assert main(["scan", "--config", str(bad),
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # numbers beyond the double range, from flags or a config file
+    huge = tmp_path / "huge.cfg"
+    huge.write_text("z = 1e400\n", encoding="utf-8")
+    for argv in (["scan", "--scan-end", "1e400"], ["scan", "--trunc", "1e400"],
+                 ["scan", "--d", "1e400"], ["oracle", "--z", "1e400"],
+                 ["oracle", "--config", str(huge)]):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "out of range" in capsys.readouterr().err
 
 
 def test_exit_code_for_domain_problems(tmp_path, capsys):

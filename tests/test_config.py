@@ -155,6 +155,10 @@ def test_parse_length_units():
         parse_length("12 parsec")
     with pytest.raises(ConfigError):
         parse_length("fast")
+    # a number beyond the double range is not a length
+    for text in ("1e400", "-1e400 mm", "1e400um"):
+        with pytest.raises(ConfigError, match="out of range"):
+            parse_length(text)
 
 
 def test_parse_float_and_int():
@@ -165,6 +169,9 @@ def test_parse_float_and_int():
     assert parse_int("100") == 100
     with pytest.raises(ConfigError):
         parse_int("2.5")
+    for parse in (parse_float, parse_int):
+        with pytest.raises(ConfigError, match="out of range"):
+            parse("1e400")
 
 
 def test_fmt_round_trips():

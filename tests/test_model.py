@@ -154,7 +154,8 @@ def test_spectral_grid_drops_nonpositive_wavelengths():
 
 
 @pytest.mark.parametrize("samples, span", [(40, 3.0), (0, 3.0), (-3, 3.0),
-                                           (41, 0.0), (41, -1.0)])
+                                           (41, 0.0), (41, -1.0),
+                                           (41, math.inf), (41, math.nan)])
 def test_spectral_grid_rejects_bad_arguments(samples, span):
     with pytest.raises(DomainError):
         spectral_grid(plane_source(beta=30e-9), samples=samples, span=span)

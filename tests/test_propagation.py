@@ -406,7 +406,7 @@ def test_plane_harmonics_is_the_node_order_sum(nodes, zs, point, rows):
     assert np.array_equal(covered, np.arange(len(zs)))
     assert all(len(h) <= max(1, rows // len(nodes)) for _, h, _ in blocks)
     harm = np.concatenate([h for _, h, _ in blocks])
-    a = np.concatenate([a for _, _, a in blocks])
+    a = np.concatenate([ab for _, _, ab in blocks])
     assert harm.shape == (len(zs), 2 * g.trunc + 1)
     for i, z in enumerate(zs):
         want = np.zeros(2 * g.trunc + 1)
