@@ -256,8 +256,8 @@ def _oracle_args(sub: argparse.ArgumentParser) -> None:
                      help="last probe position (default: d)")
     sub.add_argument("--points", type=_positive_int, default=129,
                      metavar="N", help="probe positions (default 129)")
-    sub.add_argument("--max-steps", type=int, default=DEFAULT_MAX_WINDOWS,
-                     metavar="N",
+    sub.add_argument("--max-steps", type=_positive_int,
+                     default=DEFAULT_MAX_WINDOWS, metavar="N",
                      help="cap on the open grating windows integrated per "
                           f"field evaluation (default {DEFAULT_MAX_WINDOWS})")
 

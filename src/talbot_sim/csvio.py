@@ -7,14 +7,15 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Carpet, Pattern
-from .units import fmt
+from .units import DATA_FORMAT, fmt
 
 
 def _write_table(path, comments, header, *columns) -> None:
     """Write the comment lines, the header line and one line per row of
     the columns, each value in the fixed fmt format."""
+    row_format = ",".join([DATA_FORMAT] * len(columns))
     lines = [*comments, header]
-    lines.extend(",".join(map(fmt, row))
+    lines.extend(row_format % tuple(row)
                  for row in np.column_stack(columns).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

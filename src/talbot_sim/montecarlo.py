@@ -16,7 +16,8 @@ from .errors import DomainError
 from .model import DetectionSpec, GratingSpec, Pattern, SourceSpec
 from .propagation import scan
 
-# Counter-based generator; stream i is the base generator jumped i times.
+# Counter-based generator keyed by the seed; stream i starts at counter
+# offset i * 2**128, which is what Philox.jumped(i) gives.
 RNG_ID = "numpy.random.Philox, per-point streams via jumped(point_index)"
 
 _U64_MAX = 2 ** 64 - 1
@@ -45,24 +46,26 @@ class McRun:
                               f"most {_MAX_EVENTS:g}")
 
 
-def point_rng(seed: int, index: int) -> np.random.Generator:
-    """Deterministic RNG stream for one scan point."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
-
-
 def simulate_scan(run: McRun) -> Pattern:
     """Simulate counting at every scan position.
 
     The peak-normalized curve of scan() is scaled by events_per_point;
     each point's count is Poisson with that mean, with sqrt(count)
-    recorded as its shot-noise bar.
+    recorded as its shot-noise bar. One generator serves every point:
+    it is rewound to the key's start and advanced to point i's stream
+    before point i draws.
     """
     curve = scan(run.source, run.grating, run.scan,
                  samples=run.spectral_samples, span=run.spectral_span)
     means = run.events_per_point * curve.values
+    bits = np.random.Philox(key=run.seed)
+    gen = np.random.Generator(bits)
+    start = bits.state
     counts = np.empty(means.size)
-    for i in range(means.size):
-        counts[i] = point_rng(run.seed, i).poisson(means[i])
+    for i, mean in enumerate(means):
+        bits.state = start
+        bits.advance(i << 128)
+        counts[i] = gen.poisson(mean)
     errors = np.sqrt(counts)
     meta = {
         **curve.meta,

@@ -66,9 +66,14 @@ def parse_int(text: str) -> int:
     return int(value)
 
 
+# Data-column float format: 12 significant digits.  A %-template, so that
+# csvio formats a whole row in one operation.
+DATA_FORMAT = "%.12g"
+
+
 def fmt(value: float) -> str:
     """Data-column float format: 12 significant digits."""
-    return format(float(value), ".12g")
+    return DATA_FORMAT % float(value)
 
 
 def fmt_exact(value: float) -> str:

@@ -46,6 +46,12 @@ def baseline_detection(z=160e-3, **kw):
     return DetectionSpec(z=z, **kw)
 
 
+def point_rng(seed, index):
+    """Reference definition of scan point index's count stream: a Philox
+    keyed by the seed, jumped index times (counter offset index * 2**128)."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+
 def mp_fresnel_field(x, lam, source, g, z, dps=30):
     """The oracle's integral by mpmath quadrature, window by window.
 

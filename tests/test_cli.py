@@ -185,9 +185,12 @@ def test_top_level_messages_name_every_subcommand(capsys):
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--points", "0"],
+                                  ["oracle", "--max-steps", "0"],
+                                  ["oracle", "--max-steps", "-1"],
                                   ["carpet", "--x-count", "0"],
                                   ["carpet", "--z-count", "-3"]],
-                         ids=["oracle-points", "carpet-x-count",
+                         ids=["oracle-points", "oracle-max-steps-0",
+                              "oracle-max-steps-negative", "carpet-x-count",
                               "carpet-z-count"])
 def test_count_flags_reject_non_positive(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"

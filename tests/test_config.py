@@ -1,6 +1,10 @@
 """Config files, value parsing, defaults, and the echo round trip."""
 
+import math
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from talbot_sim import (ConfigError, DEFAULTS, DomainError, beta_from_fwhm,
                         build_config, read_config_file)
@@ -178,3 +182,17 @@ def test_fmt_round_trips():
     assert float(fmt_exact(1 / 3)) == 1 / 3
     assert float(fmt_exact(Z0)) == Z0
     assert float(fmt(0.16)) == pytest.approx(0.16, rel=1e-11)
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(1e22)
+def test_fmt_is_the_row_template(v):
+    # csvio formats whole rows through a "%.12g" template, which must spell
+    # every double exactly as fmt and format(v, ".12g") do
+    assert "%.12g" % v == fmt(v) == format(v, ".12g")

@@ -5,10 +5,10 @@ import pytest
 import scipy.stats
 
 from talbot_sim import DomainError, McRun, beta_from_fwhm, scan, simulate_scan
-from talbot_sim.montecarlo import RNG_ID, point_rng
+from talbot_sim.montecarlo import RNG_ID
 
 from helpers import (FWHM, baseline_detection, baseline_grating,
-                     point_source)
+                     point_rng, point_source)
 
 
 def _run(seed=7, events=1000.0, f=0.3, beta=None, **kw):
@@ -78,6 +78,16 @@ def test_point_streams_are_reproducible_and_distinct():
     again = [point_rng(42, i).uniform() for i in range(4)]
     assert first == again
     assert len(set(first)) == len(first)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("events", [5.0, 1000.0, 1e18])
+def test_counts_are_the_reference_point_streams(seed, events):
+    # means on both sides of numpy's switch of Poisson sampler at 10
+    pat = simulate_scan(_run(seed=seed, events=events))
+    means = pat.meta["expected_means"]
+    expected = [point_rng(seed, i).poisson(m) for i, m in enumerate(means)]
+    assert np.array_equal(pat.values, expected)
 
 
 def test_mcrun_validation():
