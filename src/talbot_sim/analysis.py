@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import GratingSpec, Pattern, SourceSpec
+from .model import GratingSpec, Pattern, SourceSpec, effective_distance
 from .propagation import (_MIN_ROW_POINTS, _fast_length, _harmonics,
                           _plane_harmonics)
 
@@ -17,8 +17,13 @@ from .propagation import (_MIN_ROW_POINTS, _fast_length, _harmonics,
 # resolving it above about 80 orders (at 200 it lands on a sidelobe).
 _SEARCH_TRUNC = 80
 
-# Distances the revival zoom scores a round, and its final radius (m).
-_ZOOM_POINTS, _ZOOM_XTOL = 9, 1e-12
+# Relative secant step, a few ulps, at which the slope-root search stops.
+_ROOT_XTOL = 1e-15
+
+# The revival score's main lobe spans at least +-_LOBE/trunc^2 in b about
+# a revival plane (its slope has the sign of the offset there), at every
+# open fraction from 0.001 to 0.97 and trunc from 1 to 8000.
+_LOBE = 1.5
 
 
 def visibility(pattern: Pattern) -> float:
@@ -77,6 +82,14 @@ def fringe_width_fraction(pattern: Pattern, period: float) -> float:
     return float(np.mean(widths)) / period
 
 
+def _shifts(trunc: int) -> int:
+    """Lateral shifts the revival score tries per period:
+    max(256, 2*_fast_length(2*trunc + 1)), even, so the half-period shift
+    is on the grid, and above 4*trunc, so harmonic 2*trunc is below its
+    Nyquist bin."""
+    return max(_MIN_ROW_POINTS, 2 * _fast_length(2 * trunc + 1))
+
+
 def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     """Return scores(zs): for each distance in zs, the best normalized
     cross-correlation between the pattern there and the squared grating
@@ -88,12 +101,11 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     magnification only stretches the pattern and drops out.  The mean-free
     correlation at shift phi (in periods) is sum_{q>=1} C_q R_q
     cos(2*pi*q*phi) over sqrt(sum C_q^2 * sum R_q^2); one irfft per plane
-    evaluates it on max(256, 2*_fast_length(2*trunc + 1)) shifts: even, so
-    phi = 1/2 is on the grid, and above 4*trunc, so harmonic 2*trunc is
-    below its Nyquist bin.  A plane or profile whose standard deviation
-    sqrt(2*sum C_q^2) is at rounding level against its mean C_0 scores 0.
+    evaluates it on the _shifts(trunc) grid.  A plane or profile whose
+    standard deviation sqrt(2*sum C_q^2) is at rounding level against its
+    mean C_0 scores 0.
     """
-    size = max(_MIN_ROW_POINTS, 2 * _fast_length(2 * grating.trunc + 1))
+    size = _shifts(grating.trunc)
     ref = _harmonics(grating, 0.0)
     ref_norm = float(_structure(ref))
 
@@ -114,6 +126,54 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     return scores
 
 
+def _revival_slopes(grating: GratingSpec):
+    """Return slopes(b): the first two derivatives (S', S'') of the
+    revival score in b = pi*lam*z_eff/d^2, through which alone the score
+    of one wavelength depends on z.
+
+    The best of a fixed grid of shifts is, piecewise in b, the correlation
+    S = X/(N*|R|) at one shift (the envelope theorem), with X = sum_{q>=1}
+    C_q r_q, r_q = R_q cos(2*pi*q*phi) and N = sqrt(sum_{q>=1} C_q^2).
+    With the unit vector c^ = C/N and e = r - c^(c^.r), S' = C'.e/(N*|R|)
+    and S'' = (C''.e - (c^.r)|C' - c^(c^.C')|^2/N - 2(c^.C')S'|R|)/(N*|R|).
+    At an exact revival S' has a triple root, so it is a difference of
+    terms that vanish only as the offset: e is taken from the departure
+    C - r, by the identity e*N^2 = ((r.E + E.E) r - (r.r + r.E) E) with
+    E = C - r, and b is reduced modulo pi, the score's period (C_q(b + pi)
+    = (-1)^q C_q(b), and the half-period shift is on the grid).  Near a
+    revival the best shift is then 0, E is _harmonics's departure row
+    C(b) - C(0) with its relative precision, and S' keeps its sign to a
+    few ulps of b from the revival plane.
+    """
+    length = _fast_length(4 * grating.trunc + 1)
+    size = _shifts(grating.trunc)
+    ref = _harmonics(grating, 0.0, length)
+    ref_norm = float(_structure(ref))
+    orders = np.arange(1, ref.size)
+
+    def slopes(b: float) -> tuple[float, float]:
+        dev, first, second = _harmonics(grating, math.remainder(b, math.pi),
+                                        length, slopes=True)
+        harm = ref + dev
+        cross = harm * ref
+        cross[0] = 0.0
+        shift = int(np.argmax(np.fft.irfft(cross, size)))
+        cosines = np.cos((2.0 * math.pi * shift / size) * orders)
+        c, d1, d2 = harm[1:], first[1:], second[1:]
+        r = ref[1:] * cosines
+        gap = dev[1:] + ref[1:] * (1.0 - cosines)
+        norm2 = c @ c
+        norm = math.sqrt(norm2)
+        e = ((r @ gap + gap @ gap) * r - (r @ r + r @ gap) * gap) / norm2
+        along = c @ d1 / norm
+        s1 = d1 @ e / norm
+        s2 = (d2 @ e - (c @ r) * (d1 @ d1 - along * along) / norm2
+              - 2.0 * along * s1) / norm
+        return float(s1 / ref_norm), float(s2 / ref_norm)
+
+    return slopes
+
+
 def _structure(harm: np.ndarray) -> np.ndarray:
     """sqrt(sum_{q>=1} C_q^2) along the last axis, or 0 where the signal's
     standard deviation sqrt(2*sum C_q^2) is rounding noise against C_0."""
@@ -122,23 +182,43 @@ def _structure(harm: np.ndarray) -> np.ndarray:
                     0.0, norm)
 
 
-def _zoom(scores, z: float, score: float, radius: float, lo: float,
-          hi: float) -> float:
-    """Shrinking grid search around z, which has already scored score.
+def _slope_root(slopes, lo: float, hi: float):
+    """The b in [lo, hi] where the score's slope S'(b) falls through zero,
+    or None unless S'(lo) > 0 > S'(hi).
 
-    Each round scores _ZOOM_POINTS distances within radius of z in one
-    batch, moves z to the best of them if it beats score, and cuts the
-    radius by 4, until the radius is under _ZOOM_XTOL.  Returns the final z.
+    At an exact revival S' has a triple root (1 - S grows as the fourth
+    power of the offset), where secant or Newton steps on S' converge only
+    linearly; u = S'/S'' has a simple root there and wherever S' does.  So
+    the steps are secant steps on u, kept inside the sign bracket of S':
+    a step that leaves the bracket, or one no shorter than half the step
+    before last, is replaced by a bisection.  It returns once a secant
+    step is under _ROOT_XTOL of b relatively, or the bracket holds no
+    double between its ends.
     """
-    while radius >= _ZOOM_XTOL:
-        grid = np.linspace(max(lo, z - radius), min(hi, z + radius),
-                           _ZOOM_POINTS)
-        vals = scores(grid)
-        i = int(np.argmax(vals))
-        if vals[i] > score:
-            z, score = float(grid[i]), float(vals[i])
-        radius /= 4.0
-    return z
+    s_lo, c_lo = slopes(lo)
+    s_hi, c_hi = slopes(hi)
+    if not s_lo > 0.0 > s_hi:
+        return None
+    (b0, u0), (b1, u1) = (lo, s_lo / c_lo), (hi, s_hi / c_hi)
+    last = older = hi - lo
+    while True:
+        b = b1 - u1 * (b1 - b0) / (u1 - u0) if u1 != u0 else math.nan
+        if lo < b < hi and abs(b - b1) < 0.5 * older:
+            if abs(b - b1) <= _ROOT_XTOL * b:
+                return b
+        else:
+            b = 0.5 * (lo + hi)
+            if not lo < b < hi:
+                return b
+        s, c = slopes(b)
+        if s == 0.0:
+            return b
+        if s > 0.0:
+            lo = b
+        else:
+            hi = b
+        last, older = abs(b - b1), last
+        (b0, u0), (b1, u1) = (b1, u1), (b, s / c)
 
 
 def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
@@ -152,15 +232,27 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
     score rings near a revival (defocus ripples of the sharp image leave a
     narrow main lobe between tall sidelobes), so a single local refinement
     is not trustworthy.  The steps-point coarse grid is scored in one
-    batch, dense 65-point windows around the top four distinct coarse
-    candidates in a second, and the global best is then zoomed: 9 points a
-    round, the radius starting at an eighth of the coarse spacing and
-    shrinking 4x a round until it is under 1e-12 m.  The main lobe narrows
-    roughly as 1/trunc^2, so above _SEARCH_TRUNC orders these three stages
-    score the grating truncated at _SEARCH_TRUNC, whose revival plane is
-    the same, and a second zoom from the same radius finishes at the full
-    trunc.  A flat score landscape (for instance a fully open grating)
-    raises DomainError.
+    batch, and dense 65-point windows around the top four distinct coarse
+    candidates in a second.  The main lobe narrows roughly as 1/trunc^2,
+    so above _SEARCH_TRUNC orders these stages score the grating
+    truncated at _SEARCH_TRUNC, whose revival plane is the same.
+
+    The maximum is then a root of the score's slope in b =
+    pi*lam*z_eff/d^2 (_revival_slopes, _slope_root), bracketed by the
+    best dense plane plus or minus one dense step.  A root is only
+    trusted within one lobe, and the main lobe spans at least
+    +-_LOBE/trunc^2 in b, so the first search scores the largest
+    truncation whose main lobe spans 1.5 brackets; its root is the
+    revival plane, which every truncation shares, and a last search at
+    the full trunc brackets it within +-_LOBE/(2*trunc^2).  If the slope
+    does not change sign across a bracket (the maximum is at an end of the
+    interval, or off the planes the dense windows resolve), the best
+    dense plane is the answer.  The root maps back by z = z_eff*z0/(z0 -
+    z_eff).  At an exact revival 1 - score grows only as the fourth power
+    of the offset (1e-15 at 10 nm), so an argmax resolves the plane only
+    to about 5 nm; the slope, taken from the departure of C_q from the
+    revival image, resolves it to a few ulps.  A flat score landscape
+    (for instance a fully open grating) raises DomainError.
     """
     if lam <= 0:
         raise DomainError("wavelength must be positive")
@@ -196,12 +288,25 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
     vals = scores(dense)
     i = int(np.argmax(vals))
     if vals[i] > best_s:
-        best_z, best_s = float(dense[i]), float(vals[i])
-    best_z = _zoom(scores, best_z, best_s, spacing / 8.0, z_lo, z_hi)
-    if search_grating is grating:
+        best_z = float(dense[i])
+
+    scale = math.pi * lam / grating.d ** 2
+
+    def to_b(z: float) -> float:
+        return scale * float(effective_distance(z, source.z0))
+
+    step = spacing / 16.0
+    lo, hi = to_b(max(z_lo, best_z - step)), to_b(min(z_hi, best_z + step))
+    first = int(math.sqrt(_LOBE / (1.5 * (hi - lo))))
+    first = max(1, min(first, grating.trunc))
+    b = _slope_root(
+        _revival_slopes(dataclasses.replace(grating, trunc=first)), lo, hi)
+    if b is not None and first < grating.trunc:
+        half = 0.5 * _LOBE / grating.trunc ** 2
+        b = _slope_root(_revival_slopes(grating),
+                        max(to_b(z_lo), b - half), min(to_b(z_hi), b + half))
+    if b is None:
         return best_z
-    # the capped optimum lies inside the narrower full-trunc main lobe, and
-    # _zoom only accepts better scores, so it cannot leave that lobe
-    scores = _revival_scorer(lam, source, grating)
-    return _zoom(scores, best_z, float(scores([best_z])[0]), spacing / 8.0,
-                 z_lo, z_hi)
+    zeff = b / scale
+    z = zeff if source.z0 is None else zeff * source.z0 / (source.z0 - zeff)
+    return min(max(z, z_lo), z_hi)
