@@ -48,8 +48,8 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _harmonics(grating: GratingSpec, b, length: int | None = None,
-               slopes: bool = False) -> np.ndarray:
+def _harmonics(grating: GratingSpec, b,
+               length: int | None = None) -> np.ndarray:
     """Intensity harmonics C_q = sum_n c_{n+q} conj(c_n) for q = 0..2*trunc.
 
     c_n = A_n exp(i*n^2*b).  b may be a scalar or an array; each value of
@@ -59,40 +59,14 @@ def _harmonics(grating: GratingSpec, b, length: int | None = None,
     autocorrelation |F|^2 of the 2*trunc + 1 coefficients without
     wrapping.  A_-n = A_n makes c even in n and so C_q real; the rounding
     residue of the imaginary part is dropped.
-
-    With slopes, a leading axis of three holds C_q(b) - C_q(0), dC_q/db
-    and d^2C_q/db^2, from one FFT call over A_n, the departure w_n = c_n -
-    A_n = A_n*expm1(i*n^2*b), n^2*c_n and n^4*c_n (spectra P, W, G, H;
-    F = P + W is that of c).  The first row is the inverse FFT of
-    2*Re(W*conj(P)) + |W|^2, so it keeps its relative precision as b -> 0.
-    As dc_n/db = i*n^2*c_n, dC_q/db = i*sum_n ((n+q)^2 - n^2) c_{n+q}
-    conj(c_n) is that of -2*Im(G*conj(F)), and d^2C_q/db^2 =
-    -sum_n ((n+q)^2 - n^2)^2 c_{n+q} conj(c_n) that of
-    -2*(Re(H*conj(F)) - |G|^2).
     """
     ns, amps = coefficient_table(grating)
     if length is None:
         length = _fast_length(4 * grating.trunc + 1)
-    phase = np.multiply.outer(1j * np.asarray(b), ns * ns)
-    if not slopes:
-        spectrum = np.fft.fft(amps * np.exp(phase), length)
-        power = spectrum.real ** 2 + spectrum.imag ** 2
-        return np.fft.ifft(power)[..., :ns.size].real
-    square = np.square(ns, dtype=float)
-    rows = np.empty((4,) + phase.shape, dtype=complex)
-    rows[0] = amps
-    np.multiply(amps, np.expm1(phase), out=rows[1])
-    np.multiply(square, rows[0] + rows[1], out=rows[2])
-    np.multiply(square, rows[2], out=rows[3])
-    flat, depart, second, fourth = np.fft.fft(rows, length)
-    full = (flat + depart).conj()
-    cross = np.empty((3,) + flat.shape)
-    cross[0] = (2.0 * (depart * flat.conj()).real + depart.real ** 2
-                + depart.imag ** 2)
-    cross[1] = -2.0 * (second * full).imag
-    cross[2] = 2.0 * (second.real ** 2 + second.imag ** 2
-                      - (fourth * full).real)
-    return np.fft.ifft(cross)[..., :ns.size].real
+    chirped = amps * np.exp(np.multiply.outer(1j * np.asarray(b), ns * ns))
+    spectrum = np.fft.fft(chirped, length)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    return np.fft.ifft(power)[..., :ns.size].real
 
 
 def _uniform_step(xs: np.ndarray):

@@ -1,21 +1,17 @@
 """Pattern analysis: visibility, fringe widths, revival search."""
 
-import math
 import tracemalloc
 
-import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talbot_sim import (DomainError, Pattern, SourceSpec,
-                        binary_transmission, effective_distance,
+                        binary_transmission,
                         fringe_width_fraction, revival_distance, scan,
                         visibility)
-from talbot_sim.analysis import _revival_scorer, _revival_slopes, _shifts
-from talbot_sim.grating import coefficient_table
-from talbot_sim.propagation import _harmonics
+from talbot_sim.analysis import _revival_scorer
 
 from helpers import (D, LAMBDA0, TALBOT, Z0, baseline_detection,
                      baseline_grating, plane_source, point_source,
@@ -159,10 +155,13 @@ def test_revival_small_open_fraction_stays_small_in_memory():
     tracemalloc.start()
     try:
         z = revival_distance(point_source(), g, LAMBDA0, 0.128, 0.208)
+        # no self-image plane here, so the grid stages score it
+        z_none = revival_distance(point_source(), g, LAMBDA0, 0.080, 0.130)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert 0.128 <= z <= 0.208
+    assert 0.080 <= z_none <= 0.130
     assert peak < 100e6
 
 
@@ -175,99 +174,73 @@ def test_revival_small_open_fraction_finds_main_lobe(f):
     assert z == pytest.approx(0.174, abs=1e-6)
 
 
-def _mp_rows(g, b, dps=20):
-    """C_q(b) - C_q(0), dC_q/db and d^2C_q/db^2 by mpmath pair sums: with
-    k = (n+q)^2 - n^2, they sum A_{n+q} A_n times cos(k*b) - 1,
-    -k*sin(k*b) and -k^2*cos(k*b)."""
-    ns, amps = coefficient_table(g)
-    with mp.workdps(dps):
-        a = [mp.mpf(float(v)) for v in amps]
-        turn = [mp.expj(int(n) ** 2 * mp.mpf(b)) for n in ns]
-        rows = []
-        for q in range(ns.size):
-            pairs = range(ns.size - q)
-            ks = [q * (2 * int(ns[j]) + q) for j in pairs]
-            terms = [a[j + q] * a[j] * turn[j + q] * mp.conj(turn[j])
-                     for j in pairs]
-            rows.append((
-                mp.fsum(mp.re(t) - a[j + q] * a[j]
-                        for j, t in zip(pairs, terms)),
-                -mp.fsum(k * mp.im(t) for k, t in zip(ks, terms)),
-                -mp.fsum(k * k * mp.re(t) for k, t in zip(ks, terms))))
-        return np.array(rows, dtype=float).T
+def _self_image(m, z0):
+    """z of the self-image plane z_eff = m*d^2/lam."""
+    zeff = m * D ** 2 / LAMBDA0
+    return zeff if z0 is None else zeff * z0 / (z0 - zeff)
 
 
-@settings(max_examples=25, deadline=None)
-@given(f=st.floats(0.05, 0.9), trunc=st.integers(0, 63),
-       z0=st.one_of(st.none(), st.floats(0.5, 5.0)),
-       z=st.floats(0.05, 0.4))
-def test_score_slopes_match_mpmath(f, trunc, z0, z):
-    # the departure and slope rows against mpmath pair sums; S' and S''
-    # against the plain quotient rule on those rows at the best shift; and
-    # S' times db/dz against a five-point difference of the scorer in z
-    g = baseline_grating(f=f, trunc=trunc)
-    src = SourceSpec(lambda0=LAMBDA0, z0=z0)
-    scale = math.pi * LAMBDA0 / D ** 2
-    b = scale * effective_distance(z, z0)
-    got = _harmonics(g, b, slopes=True)
-    want = _mp_rows(g, b)
-    # FFT rounding is relative to the pair terms, not to a row that
-    # cancels to nothing (near a revival, or C' at b = pi)
-    _, amps = coefficient_table(g)
-    terms = np.sum(np.abs(amps)) ** 2 * (4.0 * trunc ** 2 + 1) ** np.arange(3)
-    for row, ref, term in zip(got, want, terms):
-        assert (np.max(np.abs(row - ref))
-                <= 1e-10 * np.max(np.abs(ref)) + 1e-13 * term)
-    assume(trunc >= 1)
-
-    ref = _harmonics(g, 0.0)
-    harm = ref + want[0]
-    size = _shifts(trunc)
-    cross = harm * ref
-    cross[0] = 0.0
-    corr = np.fft.irfft(cross, size)
-    shift = int(np.argmax(corr))
-    # shifts m and size - m tie by symmetry; any other near tie could
-    # rank differently in the scorer's own rounding
-    top = np.sort(corr)
-    assume(top[-1] - top[-3] > 1e-9 * abs(top[-1]))
-    r = ref[1:] * np.cos(2 * np.pi * shift / size * np.arange(1, ref.size))
-    c, d1, d2 = harm[1:], want[1][1:], want[2][1:]
-    n = math.sqrt(c @ c)
-    n1 = c @ d1 / n
-    n2 = (d1 @ d1 + c @ d2) / n - n1 * n1 / n
-    x, x1, x2 = c @ r, d1 @ r, d2 @ r
-    unit = math.sqrt(ref[1:] @ ref[1:]) * n
-    s1 = (x1 - x * n1 / n) / unit
-    s2 = (x2 - (2 * x1 * n1 + x * n2) / n + 2 * x * n1 * n1 / n ** 2) / unit
-    got1, got2 = _revival_slopes(g)(b)
-    assert got1 == pytest.approx(s1, rel=1e-9, abs=1e-9)
-    assert got2 == pytest.approx(s2, rel=1e-9, abs=1e-9)
-
-    h = 1e-7 * z
-    zs = z + h * np.array([-2.0, -1.0, 1.0, 2.0])
-    for side in _harmonics(g, scale * effective_distance(zs, z0)):
-        cross = side * ref
-        cross[0] = 0.0
-        # the best shift must hold across the difference stencil
-        best = int(np.argmax(np.fft.irfft(cross, size)))
-        assume(min(best, size - best) == min(shift, size - shift))
-    dbdz = scale * (1.0 if z0 is None else (z0 / (z + z0)) ** 2)
-    far_lo, lo, hi, far_hi = _revival_scorer(LAMBDA0, src, g)(zs)
-    slope = (8.0 * (hi - lo) - (far_hi - far_lo)) / (12.0 * h)
-    assert slope == pytest.approx(got1 * dbdz, rel=1e-6, abs=1e-6 * dbdz)
+_TRUNCS = st.one_of(st.integers(3, 400), st.sampled_from([2000, 8000]))
+_SOURCES = st.one_of(st.none(), st.just(Z0), st.floats(1.0, 5.0))
 
 
 @settings(max_examples=30, deadline=None)
-@given(f=st.floats(0.05, 0.9), trunc=st.integers(3, 400),
-       m=st.sampled_from([1, 2]),
-       z0=st.one_of(st.none(), st.just(Z0), st.floats(1.0, 5.0)))
+@given(f=st.floats(0.05, 0.97), trunc=_TRUNCS, m=st.sampled_from([1, 2]),
+       z0=_SOURCES)
 def test_revival_is_the_self_image_plane(f, trunc, m, z0):
-    # the monochromatic pattern repeats exactly where z_eff = m*d^2/lam,
-    # so the search must land there to rounding, not just near the lobe
-    zeff = m * D ** 2 / LAMBDA0
-    want = zeff if z0 is None else zeff * z0 / (z0 - zeff)
+    # the monochromatic pattern repeats exactly where z_eff = m*d^2/lam;
+    # the CLI's default window, [0.8, 1.3] times the plane, holds no other
+    want = _self_image(m, z0)
     g = baseline_grating(f=f, trunc=trunc)
     src = SourceSpec(lambda0=LAMBDA0, z0=z0)
-    z = revival_distance(src, g, LAMBDA0, 0.9 * want, 1.1 * want)
-    assert abs(z / want - 1.0) <= 1e-12
+    assert revival_distance(src, g, LAMBDA0, 0.8 * want, 1.3 * want) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=st.floats(0.05, 0.97), trunc=_TRUNCS, m=st.sampled_from([1, 2]),
+       z0=_SOURCES)
+def test_self_image_plane_is_the_best_score(f, trunc, m, z0):
+    # the argument for the closed form: the plane it returns scores 1, the
+    # bound of a normalized correlation, and no plane of a grid over the
+    # window scores above it
+    want = _self_image(m, z0)
+    z_lo, z_hi = 0.8 * want, 1.3 * want
+    g = baseline_grating(f=f, trunc=trunc)
+    src = SourceSpec(lambda0=LAMBDA0, z0=z0)
+    z = revival_distance(src, g, LAMBDA0, z_lo, z_hi)
+    best, *grid = _revival_scorer(LAMBDA0, src, g)(
+        np.append(z, np.linspace(z_lo, z_hi, 64)))
+    assert abs(best - 1.0) <= 1e-12
+    assert max(grid) <= best
+
+
+@pytest.mark.parametrize("f, z0, z_lo, z_hi, steps, m", [
+    (0.005, None, 0.1, 0.4, 32, 1),
+    (0.87, None, 0.256, 0.416, 32, 2),
+    (0.05, Z0, 0.15, 0.2, 16, 1),
+    (0.3, None, 0.1, 0.33, 16, 1),
+    (0.3, Z0, 0.1, 0.39, 16, 1),
+])
+def test_revival_is_the_first_plane_in_the_window(f, z0, z_lo, z_hi, steps,
+                                                  m):
+    # the first three are windows where a coarse grid misses a main lobe
+    # narrower than its step (the first two land on the window edge); the
+    # first and the last two hold two planes, and the nearer one counts
+    g = baseline_grating(f=f)
+    src = SourceSpec(lambda0=LAMBDA0, z0=z0)
+    z = revival_distance(src, g, LAMBDA0, z_lo, z_hi, steps=steps)
+    assert z == _self_image(m, z0)
+
+
+@pytest.mark.parametrize("z0, m", [(None, 1), (None, 7), (Z0, 1), (Z0, 3)])
+def test_revival_counts_a_plane_on_the_window_edge(z0, m):
+    # z_eff(z_lo)*lam/d^2 rounds to 7.000000000000001 at the plane wave's
+    # m = 7 plane and to 1.0000000000000002 at the point source's first,
+    # so its ceiling alone would skip to the next plane in the window
+    g = baseline_grating(f=0.3, trunc=30)
+    src = SourceSpec(lambda0=LAMBDA0, z0=z0)
+    plane = _self_image(m, z0)
+    assert revival_distance(src, g, LAMBDA0, plane,
+                            1.01 * _self_image(m + 1, z0), steps=16) == plane
+    assert revival_distance(src, g, LAMBDA0, 0.9 * plane, plane,
+                            steps=16) == plane

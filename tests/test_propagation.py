@@ -433,10 +433,14 @@ def test_split_blocks_leave_carpet_and_revival_unchanged():
     zs = np.linspace(0.05, 0.3, 20)
     want = carpet(src, g, xs, zs).values
     want_z = revival_distance(src, g, LAMBDA0, 0.15, 0.2)
+    # [0.08, 0.13] m holds no self-image plane, so the scorer runs there
+    want_none = revival_distance(src, g, LAMBDA0, 0.08, 0.13)
     budget = 3 * propagation._DOUBLES_PER_POINT * _row_points(g)
     with mock.patch.object(propagation, "SCRATCH_BUDGET", budget):
         assert len(list(_plane_harmonics(src, g, [(LAMBDA0, 1.0)], zs))) == 7
         got = carpet(src, g, xs, zs).values
         got_z = revival_distance(src, g, LAMBDA0, 0.15, 0.2)
+        got_none = revival_distance(src, g, LAMBDA0, 0.08, 0.13)
     assert np.array_equal(got, want)
     assert got_z == want_z
+    assert got_none == want_none
