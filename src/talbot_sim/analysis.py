@@ -17,6 +17,8 @@ from .propagation import (_MIN_ROW_POINTS, _fast_length, _harmonics,
 # resolving it above about 80 orders (at 200 it lands on a sidelobe).
 _SEARCH_TRUNC = 80
 
+REVIVAL_STEPS = 64  # default coarse grid of the revival search
+
 
 def visibility(pattern: Pattern) -> float:
     """Fringe contrast (max - min)/(max + min) of a pattern."""
@@ -96,8 +98,6 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
 
     def scores(zs) -> np.ndarray:
         out = np.zeros(len(zs))
-        if ref_norm == 0.0:
-            return out
         for rows, harm, _ in _plane_harmonics(source, grating, [(lam, 1.0)],
                                               zs):
             norm = _structure(harm) * ref_norm
@@ -120,7 +120,8 @@ def _structure(harm: np.ndarray) -> np.ndarray:
 
 
 def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
-                     z_lo: float, z_hi: float, steps: int = 64) -> float:
+                     z_lo: float, z_hi: float,
+                     steps: int = REVIVAL_STEPS) -> float:
     """Distance in [z_lo, z_hi] where the pattern best reproduces the
     grating image, allowing a lateral shift (half-period-shifted
     recurrences count as revivals).
@@ -142,7 +143,11 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
         raise DomainError("need 0 < z_lo < z_hi")
     if steps < 16:
         raise DomainError("steps must be >= 16")
-    if _structure(_harmonics(grating, 0.0)) == 0.0:
+    # the cap keeps A_1 = sin(pi*f)/pi, the structure this tests for
+    search_grating = grating
+    if grating.trunc > _SEARCH_TRUNC:
+        search_grating = dataclasses.replace(grating, trunc=_SEARCH_TRUNC)
+    if _structure(_harmonics(search_grating, 0.0)) == 0.0:
         raise DomainError("no revival found: grating profile is flat")
 
     # z(m) rises with m; rounding may put z_lo's own m one off its ceiling
@@ -159,9 +164,6 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
     if z_lo <= z <= z_hi:
         return z
 
-    search_grating = grating
-    if grating.trunc > _SEARCH_TRUNC:
-        search_grating = dataclasses.replace(grating, trunc=_SEARCH_TRUNC)
     scores = _revival_scorer(lam, source, search_grating)
     zs = np.linspace(z_lo, z_hi, steps)
     coarse = scores(zs)

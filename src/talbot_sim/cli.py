@@ -13,14 +13,16 @@ import sys
 
 import numpy as np
 
-from .analysis import fringe_width_fraction, revival_distance, visibility
+from .analysis import (REVIVAL_STEPS, fringe_width_fraction,
+                       revival_distance, visibility)
 from .config import (CONFIG_KEYS, KEY_HELP, RunConfig, build_config,
                      echo_lines, parse_value, read_config_file)
 from .csvio import (write_carpet_csv, write_mc_csv, write_oracle_csv,
                     write_scan_csv)
 from .errors import ConfigError, DomainError, ResolutionCapError
 from .grating import SlmProfile, render_slm_mask, write_pgm
-from .model import NORM_COLUMN_MAX_ONE, NORM_RAW, talbot_length
+from .model import (NORM_COLUMN_MAX_ONE, NORM_RAW, SPECTRAL_SAMPLES,
+                    SPECTRAL_SPAN, talbot_length)
 from .montecarlo import RNG_ID, McRun, simulate_scan
 from .oracle import DEFAULT_MAX_WINDOWS, fresnel_intensity
 from .propagation import carpet, intensity, scan
@@ -54,11 +56,12 @@ def _add_common(sub: argparse.ArgumentParser, default_out=None) -> None:
 
 
 def _add_spectral(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--spectral-samples", type=int, default=41, metavar="N",
-                     help="odd number of wavelength nodes (default 41)")
-    sub.add_argument("--spectral-span", type=float, default=3.0, metavar="S",
-                     help="wavelength grid half-span in units of beta "
-                          "(default 3)")
+    sub.add_argument("--spectral-samples", type=int, default=SPECTRAL_SAMPLES,
+                     metavar="N", help="odd number of wavelength nodes "
+                                       "(default %(default)s)")
+    sub.add_argument("--spectral-span", type=float, default=SPECTRAL_SPAN,
+                     metavar="S", help="wavelength grid half-span in units "
+                                       "of beta (default %(default)s)")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -93,6 +96,21 @@ def _check_threads(args: argparse.Namespace) -> None:
         raise ConfigError("thread count must be >= 1")
 
 
+def _add_window(sub: argparse.ArgumentParser, *helps: str) -> None:
+    """--wavelength, --x-min and --x-max, which _window reads."""
+    for flag, text, default in zip(("--wavelength", "--x-min", "--x-max"),
+                                   helps, ("lambda0", "-d", "d")):
+        sub.add_argument(flag, metavar="VALUE",
+                         help=f"{text} (default: {default})")
+
+
+def _window(args: argparse.Namespace, cfg: RunConfig):
+    """The wavelength and the x edges set by _add_window's flags."""
+    return (parse_length(args.wavelength) if args.wavelength else cfg.lambda0,
+            parse_length(args.x_min) if args.x_min else -cfg.d,
+            parse_length(args.x_max) if args.x_max else cfg.d)
+
+
 def _spectral_comments(args: argparse.Namespace) -> list[str]:
     return [f"# spectral-samples: {args.spectral_samples}",
             f"# spectral-span: {fmt_exact(args.spectral_span)}"]
@@ -112,10 +130,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_carpet(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    lam = parse_length(args.wavelength) if args.wavelength else cfg.lambda0
+    lam, x_lo, x_hi = _window(args, cfg)
     lt = talbot_length(cfg.d, lam)
-    x_lo = parse_length(args.x_min) if args.x_min else -cfg.d
-    x_hi = parse_length(args.x_max) if args.x_max else cfg.d
     z_lo = parse_length(args.z_min) if args.z_min else lt / 50.0
     z_hi = parse_length(args.z_max) if args.z_max else 2.0 * lt
     carp = carpet(cfg.source(), cfg.grating(),
@@ -160,9 +176,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     source, grating = cfg.source(), cfg.grating()
-    lam = parse_length(args.wavelength) if args.wavelength else cfg.lambda0
-    x_lo = parse_length(args.x_min) if args.x_min else -cfg.d
-    x_hi = parse_length(args.x_max) if args.x_max else cfg.d
+    lam, x_lo, x_hi = _window(args, cfg)
     xs = np.linspace(x_lo, x_hi, args.points)
     analytic = intensity(xs, lam, source, grating, cfg.z)
     numeric = fresnel_intensity(xs, lam, source, grating, cfg.z,
@@ -203,12 +217,8 @@ def _scan_args(sub: argparse.ArgumentParser) -> None:
 
 def _carpet_args(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, "carpet.csv")
-    sub.add_argument("--wavelength", metavar="VALUE",
-                     help="carpet wavelength (default: lambda0)")
-    sub.add_argument("--x-min", metavar="VALUE",
-                     help="left edge of the x raster (default: -d)")
-    sub.add_argument("--x-max", metavar="VALUE",
-                     help="right edge of the x raster (default: d)")
+    _add_window(sub, "carpet wavelength", "left edge of the x raster",
+                "right edge of the x raster")
     sub.add_argument("--x-count", type=_positive_int, default=256,
                      metavar="N", help="x samples (default 256)")
     sub.add_argument("--z-min", metavar="VALUE",
@@ -224,16 +234,21 @@ def _carpet_args(sub: argparse.ArgumentParser) -> None:
 
 def _mask_args(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, "mask.pgm")
-    sub.add_argument("--width-px", type=int, default=1024, metavar="N",
-                     help="mask width in pixels (default 1024)")
-    sub.add_argument("--height-px", type=int, default=768, metavar="N",
-                     help="mask height in pixels (default 768)")
+    sub.add_argument("--width-px", type=int, default=SlmProfile.width_px,
+                     metavar="N", help="mask width in pixels "
+                                       "(default %(default)s)")
+    sub.add_argument("--height-px", type=int, default=SlmProfile.height_px,
+                     metavar="N", help="mask height in pixels "
+                                       "(default %(default)s)")
     sub.add_argument("--pixel-pitch", default="36um", metavar="VALUE",
                      help="pixel size (default 36um)")
-    sub.add_argument("--gray-open", type=int, default=255, metavar="G",
-                     help="gray level of open columns (default 255)")
-    sub.add_argument("--gray-closed", type=int, default=0, metavar="G",
-                     help="gray level of closed columns (default 0)")
+    sub.add_argument("--gray-open", type=int, default=SlmProfile.gray_open,
+                     metavar="G", help="gray level of open columns "
+                                       "(default %(default)s)")
+    sub.add_argument("--gray-closed", type=int,
+                     default=SlmProfile.gray_closed, metavar="G",
+                     help="gray level of closed columns "
+                          "(default %(default)s)")
 
 
 def _mc_args(sub: argparse.ArgumentParser) -> None:
@@ -248,12 +263,8 @@ def _mc_args(sub: argparse.ArgumentParser) -> None:
 
 def _oracle_args(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, "oracle.csv")
-    sub.add_argument("--wavelength", metavar="VALUE",
-                     help="probe wavelength (default: lambda0)")
-    sub.add_argument("--x-min", metavar="VALUE",
-                     help="first probe position (default: -d)")
-    sub.add_argument("--x-max", metavar="VALUE",
-                     help="last probe position (default: d)")
+    _add_window(sub, "probe wavelength", "first probe position",
+                "last probe position")
     sub.add_argument("--points", type=_positive_int, default=129,
                      metavar="N", help="probe positions (default 129)")
     sub.add_argument("--max-steps", type=_positive_int,
@@ -269,8 +280,9 @@ def _analyze_args(sub: argparse.ArgumentParser) -> None:
                      help="revival search start (default: 0.8*z)")
     sub.add_argument("--z-hi", metavar="VALUE",
                      help="revival search end (default: 1.3*z)")
-    sub.add_argument("--z-steps", type=int, default=64, metavar="N",
-                     help="revival search grid size (default 64)")
+    sub.add_argument("--z-steps", type=int, default=REVIVAL_STEPS,
+                     metavar="N",
+                     help="revival search grid size (default %(default)s)")
 
 
 # name -> (help line, argument builder, handler), in --help order

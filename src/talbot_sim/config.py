@@ -9,87 +9,58 @@ with file and line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .errors import ConfigError
 from .model import DetectionSpec, GratingSpec, SourceSpec, beta_from_fwhm
 from .units import fmt_exact, parse_float, parse_int, parse_length
 
-CONFIG_KEYS = (
-    "lambda0", "fwhm", "z0", "delta", "d", "f", "trunc", "z",
-    "slit_width", "scan_start", "scan_end", "scan_step",
-)
 
-# One-line help per key, used by the CLI --help text.
-KEY_HELP = {
-    "lambda0": "center wavelength (length, e.g. 810nm)",
-    "fwhm": "spectral filter FWHM (length; 0 = monochromatic)",
-    "z0": "source-to-grating distance (length, or 'none' for a plane wave)",
-    "delta": "illuminated half-width at the grating (length, or 'auto')",
-    "d": "grating period (length)",
-    "f": "open fraction of the period, dimensionless in (0, 1]",
-    "trunc": "largest diffraction order kept (integer, or 'auto')",
-    "z": "grating-to-detector distance (length)",
-    "slit_width": "detector slit width (length)",
-    "scan_start": "first slit position (length)",
-    "scan_end": "last slit position (length)",
-    "scan_step": "slit step (length)",
-}
-
-# Built-in baseline: 810 nm center with a 50 nm filter, source about
-# 1.99 m upstream, 360 um period with a 10% opening, detection 160 mm
-# downstream through a 115 um slit scanned over +-600 um in 12 um steps.
-DEFAULTS: dict[str, object] = {
-    "lambda0": 810e-9,
-    "fwhm": 50e-9,
-    "z0": 1.9885714285714284,
-    "delta": None,
-    "d": 360e-6,
-    "f": 0.1,
-    "trunc": None,
-    "z": 160e-3,
-    "slit_width": 115e-6,
-    "scan_start": -600e-6,
-    "scan_end": 600e-6,
-    "scan_step": 12e-6,
-}
-
-_LENGTH_KEYS = frozenset(CONFIG_KEYS) - {"z0", "delta", "f", "trunc"}
+def _or(word: str, parse):
+    """parse, with the word itself read as None."""
+    return lambda text: None if text.lower() == word else parse(text)
 
 
-def parse_value(key: str, text: str):
-    """Parse the textual value for one config key."""
-    text = text.strip()
-    if key == "z0":
-        return None if text.lower() == "none" else parse_length(text)
-    if key == "delta":
-        return None if text.lower() == "auto" else parse_length(text)
-    if key == "trunc":
-        return None if text.lower() == "auto" else parse_int(text)
-    if key == "f":
-        return parse_float(text)
-    if key in _LENGTH_KEYS:
-        return parse_length(text)
-    raise ConfigError(f"unknown config key {key!r}")
+def _key(default, parse, help_line: str):
+    """A config key: its default, its value parser and its --help line."""
+    return field(default=default, metadata={"parse": parse, "help": help_line})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The twelve run parameters, before spec-level validation."""
+    """The twelve run parameters, before spec-level validation.
 
-    lambda0: float
-    fwhm: float
-    z0: Optional[float]
-    delta: Optional[float]
-    d: float
-    f: float
-    trunc: Optional[int]
-    z: float
-    slit_width: float
-    scan_start: float
-    scan_end: float
-    scan_step: float
+    The built-in baseline: 810 nm center with a 50 nm filter, source about
+    1.99 m upstream, 360 um period with a 10% opening, detection 160 mm
+    downstream through a 115 um slit scanned over +-600 um in 12 um steps.
+    """
+
+    lambda0: float = _key(810e-9, parse_length,
+                          "center wavelength (length, e.g. 810nm)")
+    fwhm: float = _key(50e-9, parse_length,
+                       "spectral filter FWHM (length; 0 = monochromatic)")
+    z0: Optional[float] = _key(
+        1.9885714285714284, _or("none", parse_length),
+        "source-to-grating distance (length, or 'none' for a plane wave)")
+    delta: Optional[float] = _key(
+        None, _or("auto", parse_length),
+        "illuminated half-width at the grating (length, or 'auto')")
+    d: float = _key(360e-6, parse_length, "grating period (length)")
+    f: float = _key(0.1, parse_float,
+                    "open fraction of the period, dimensionless in (0, 1]")
+    trunc: Optional[int] = _key(
+        None, _or("auto", parse_int),
+        "largest diffraction order kept (integer, or 'auto')")
+    z: float = _key(160e-3, parse_length,
+                    "grating-to-detector distance (length)")
+    slit_width: float = _key(115e-6, parse_length,
+                             "detector slit width (length)")
+    scan_start: float = _key(-600e-6, parse_length,
+                             "first slit position (length)")
+    scan_end: float = _key(600e-6, parse_length,
+                           "last slit position (length)")
+    scan_step: float = _key(12e-6, parse_length, "slit step (length)")
 
     def source(self) -> SourceSpec:
         return SourceSpec(lambda0=self.lambda0,
@@ -104,6 +75,19 @@ class RunConfig:
                              scan_start=self.scan_start,
                              scan_end=self.scan_end,
                              scan_step=self.scan_step)
+
+
+_FIELDS = {spec.name: spec for spec in fields(RunConfig)}
+CONFIG_KEYS = tuple(_FIELDS)
+DEFAULTS: dict[str, object] = {k: spec.default for k, spec in _FIELDS.items()}
+KEY_HELP = {k: spec.metadata["help"] for k, spec in _FIELDS.items()}
+
+
+def parse_value(key: str, text: str):
+    """Parse the textual value for one config key."""
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    return _FIELDS[key].metadata["parse"](text.strip())
 
 
 def read_config_file(path: str) -> dict:
@@ -127,8 +111,6 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
                               f"got {line!r}")
         key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
@@ -141,21 +123,15 @@ def read_config_file(path: str) -> dict:
 def build_config(file_values: Optional[dict] = None,
                  overrides: Optional[dict] = None) -> RunConfig:
     """Merge defaults, config-file values and overrides (highest wins)."""
-    merged = dict(DEFAULTS)
-    if file_values:
-        merged.update(file_values)
-    if overrides:
-        merged.update(overrides)
-    return RunConfig(**merged)
+    return RunConfig(**{**(file_values or {}), **(overrides or {})})
 
 
-def _echo_value(key: str, value) -> str:
-    if value is None:
-        return "none" if key == "z0" else "auto"
-    if key == "trunc":
-        return str(int(value))
-    # lengths echo in bare meters, which parse back bit-identically
-    return fmt_exact(value)
+def _echo_value(value) -> str:
+    if value is None:  # only z0: echo_lines resolves delta and trunc
+        return "none"
+    # trunc echoes as an integer and lengths in bare meters, which parse
+    # back bit-identically
+    return str(value) if isinstance(value, int) else fmt_exact(value)
 
 
 def echo_lines(config: RunConfig) -> list[str]:
@@ -167,5 +143,5 @@ def echo_lines(config: RunConfig) -> list[str]:
     """
     resolved = replace(config, delta=config.source().delta,
                        trunc=config.grating().trunc)
-    return [f"# {key} = {_echo_value(key, getattr(resolved, key))}"
+    return [f"# {key} = {_echo_value(getattr(resolved, key))}"
             for key in CONFIG_KEYS]

@@ -25,6 +25,9 @@ PLANE_WAVE_DELTA_M = 1.0e-3
 # Cap in doubles on the scratch of one engine or oracle pass.
 SCRATCH_BUDGET = 4_000_000
 
+# Default spectral quadrature: odd node count over lambda0 +- span*beta.
+SPECTRAL_SAMPLES, SPECTRAL_SPAN = 41, 3.0
+
 NORM_RAW = "raw"
 NORM_MAX_ONE = "max-one"
 NORM_COLUMN_MAX_ONE = "per-column-max-one"
@@ -87,6 +90,8 @@ class GratingSpec:
         _require(self.d > 0, "grating period d must be positive")
         _require(0 < self.f <= 1, "open fraction f must be in (0, 1]")
         if self.trunc is None:
+            _require(8.0 / self.f < math.inf,
+                     "open fraction f too small for trunc = auto")
             object.__setattr__(self, "trunc", max(50, math.ceil(8.0 / self.f)))
         _require(int(self.trunc) == self.trunc, "trunc must be an integer")
         object.__setattr__(self, "trunc", int(self.trunc))
@@ -218,8 +223,8 @@ def beta_from_fwhm(fwhm: float) -> float:
     return fwhm / (2.0 * math.sqrt(math.log(2.0)))
 
 
-def spectral_grid(source: SourceSpec, samples: int = 41,
-                  span: float = 3.0) -> list[tuple[float, float]]:
+def spectral_grid(source: SourceSpec, samples: int = SPECTRAL_SAMPLES,
+                  span: float = SPECTRAL_SPAN) -> list[tuple[float, float]]:
     """Quadrature nodes (wavelength, weight) for the source spectrum.
 
     Nodes are evenly spaced over lambda0 +- span*beta (non-positive

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DetectionSpec, GratingSpec, Pattern, SourceSpec
+from .model import (SPECTRAL_SAMPLES, SPECTRAL_SPAN, DetectionSpec,
+                    GratingSpec, Pattern, SourceSpec)
 from .propagation import scan
 
 # Counter-based generator keyed by the seed; stream i starts at counter
@@ -35,8 +36,8 @@ class McRun:
     source: SourceSpec
     grating: GratingSpec
     scan: DetectionSpec
-    spectral_samples: int = 41
-    spectral_span: float = 3.0
+    spectral_samples: int = SPECTRAL_SAMPLES
+    spectral_span: float = SPECTRAL_SPAN
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _U64_MAX:

@@ -24,9 +24,9 @@ import numpy as np
 from .errors import DomainError
 from .grating import coefficient_table
 from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW,
-                    SCRATCH_BUDGET, Carpet, DetectionSpec, GratingSpec,
-                    Pattern, SourceSpec, effective_distance, magnification,
-                    spectral_grid)
+                    SCRATCH_BUDGET, SPECTRAL_SAMPLES, SPECTRAL_SPAN, Carpet,
+                    DetectionSpec, GratingSpec, Pattern, SourceSpec,
+                    effective_distance, magnification, spectral_grid)
 
 # Scratch doubles per row and per FFT point: the complex chirp, spectrum
 # and product rows and their real temporaries (tracemalloc reads about 9
@@ -256,7 +256,8 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
 
 
 def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
-         samples: int = 41, span: float = 3.0) -> Pattern:
+         samples: int = SPECTRAL_SAMPLES,
+         span: float = SPECTRAL_SPAN) -> Pattern:
     """Sweep the slit across the pattern and return it as a Pattern.
 
     The slit is swept while the grating stays put; positions are the

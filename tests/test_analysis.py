@@ -11,7 +11,8 @@ from talbot_sim import (DomainError, Pattern, SourceSpec,
                         binary_transmission,
                         fringe_width_fraction, revival_distance, scan,
                         visibility)
-from talbot_sim.analysis import _revival_scorer
+from talbot_sim import analysis
+from talbot_sim.analysis import _SEARCH_TRUNC, _revival_scorer
 
 from helpers import (D, LAMBDA0, TALBOT, Z0, baseline_detection,
                      baseline_grating, plane_source, point_source,
@@ -116,10 +117,20 @@ def test_revival_stays_inside_search_interval():
     assert 0.15 <= z <= 0.17
 
 
-def test_revival_rejects_structureless_grating():
-    g = baseline_grating(f=1.0)
-    with pytest.raises(DomainError, match="no revival"):
+@pytest.mark.parametrize("f, trunc", [(1.0, None), (1.0, 8000), (0.3, 0)])
+def test_revival_rejects_structureless_grating(monkeypatch, f, trunc):
+    original, truncs = analysis._harmonics, []
+
+    def harmonics(grating, *args):
+        truncs.append(grating.trunc)
+        return original(grating, *args)
+
+    # the flatness test reads the profile at no more than the search cap
+    monkeypatch.setattr(analysis, "_harmonics", harmonics)
+    g = baseline_grating(f=f, trunc=trunc)
+    with pytest.raises(DomainError, match="no revival found"):
         revival_distance(plane_source(), g, LAMBDA0, 0.14, 0.18, steps=16)
+    assert truncs and max(truncs) <= _SEARCH_TRUNC
 
 
 def test_revival_rejects_bad_search_arguments():

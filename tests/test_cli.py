@@ -289,6 +289,31 @@ def test_oracle_reports_max_error(tmp_path, capsys):
     assert len(rows) == 1 + 5
 
 
+def _window_read(path, command):
+    """The wavelength comment and the first and last x of a carpet or
+    oracle CSV."""
+    lam = re.search(r"^# wavelength: (.*)$",
+                    path.read_text(encoding="utf-8"), re.M).group(1)
+    rows = _data_lines(path)
+    if command == "carpet":
+        xs = rows[0].split(",")[1:]
+    else:
+        xs = [r.split(",")[0] for r in rows[1:]]
+    return float(lam), float(xs[0]), float(xs[-1])
+
+
+@pytest.mark.parametrize("command", ["carpet", "oracle"])
+def test_window_flags_and_their_defaults(tmp_path, command):
+    out = tmp_path / "x.csv"
+    assert main(QUICK[command] + ["--out", str(out)]) == 0
+    assert _window_read(out, command) == pytest.approx(
+        (810e-9, -360e-6, 360e-6), rel=1e-12)
+    assert main(QUICK[command] + ["--wavelength", "700nm", "--x-min=-100um",
+                                  "--x-max", "200um", "--out", str(out)]) == 0
+    assert _window_read(out, command) == pytest.approx(
+        (700e-9, -100e-6, 200e-6), rel=1e-12)
+
+
 def test_analyze_report(tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert main(["analyze", "--scan-step", "24um", "--z-lo", "155mm",

@@ -1,9 +1,11 @@
 """Config files, value parsing, defaults, and the echo round trip."""
 
 import math
+import os
+import tempfile
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from talbot_sim import (ConfigError, DEFAULTS, DomainError, beta_from_fwhm,
@@ -103,6 +105,8 @@ def test_config_file_missing_path_is_config_error():
 
 def test_parse_value_key_specific_forms():
     assert parse_value("z0", "none") is None
+    assert parse_value("z0", " None ") is None  # any case, padded
+    assert parse_value("trunc", "AUTO") is None
     assert parse_value("z0", "2m") == 2.0
     assert parse_value("delta", "auto") is None
     assert parse_value("trunc", "auto") is None
@@ -115,19 +119,51 @@ def test_parse_value_key_specific_forms():
         parse_value("nonsense", "1")
 
 
-def test_echo_lines_round_trip(tmp_path):
+# positive and finite, with room for delta = 0.5e-3 * z0 to stay positive
+_LENGTHS = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def _valid_values(draw):
+    """A valid value for every config key, None standing for none/auto."""
+    start, end = sorted(draw(st.lists(st.floats(-1e300, 1e300), min_size=2,
+                                      max_size=2, unique=True)))
+    f = draw(st.floats(0.0, 1.0, exclude_min=True))
+    trunc = draw(st.none() | st.integers(0, 10 ** 6))
+    # trunc = auto needs a finite 8/f (test_grating_rejects_bad_arguments)
+    assume(trunc is not None or 8.0 / f < math.inf)
+    return {
+        "lambda0": draw(_LENGTHS),
+        "fwhm": draw(st.just(0.0) | _LENGTHS),
+        "z0": draw(st.none() | _LENGTHS),
+        "delta": draw(st.none() | _LENGTHS),
+        "d": draw(_LENGTHS),
+        "f": f,
+        "trunc": trunc,
+        "z": draw(_LENGTHS),
+        "slit_width": draw(_LENGTHS),
+        "scan_start": start,
+        "scan_end": end,
+        "scan_step": draw(_LENGTHS),
+    }
+
+
+@given(_valid_values())
+@example({"lambda0": 8.11e-7, "f": 1 / 3, "z0": None, "scan_start": -5.43e-4})
+def test_echo_lines_round_trip(overrides):
     # the echoed header must rebuild the exact same physics objects
-    cfg = build_config(None, {"lambda0": 8.11e-7, "f": 1 / 3,
-                              "z0": None, "scan_start": -5.43e-4})
+    cfg = build_config(None, overrides)
     lines = echo_lines(cfg)
     assert all(line.startswith("# ") for line in lines)
-    path = tmp_path / "echo.cfg"
-    path.write_text("\n".join(line[2:] for line in lines) + "\n",
-                    encoding="utf-8")
-    back = build_config(read_config_file(path))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "echo.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(line[2:] for line in lines) + "\n")
+        back = build_config(read_config_file(path))
     assert back.source() == cfg.source()
     assert back.grating() == cfg.grating()
     assert back.detection() == cfg.detection()
+    assert echo_lines(back) == lines
 
 
 def test_echo_lines_resolve_auto_values():
