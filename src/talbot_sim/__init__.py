@@ -10,7 +10,7 @@ from .grating import (SlmProfile, binary_transmission, fourier_coefficient,
 from .model import (Carpet, DetectionSpec, GratingSpec, Pattern, SourceSpec,
                     beta_from_fwhm, effective_distance, magnification,
                     spectral_grid, talbot_length)
-from .montecarlo import McRun, simulate_scan
+from .montecarlo import simulate_scan
 from .oracle import fresnel_field, fresnel_intensity
 from .propagation import carpet, intensity, polychromatic_rate, scan, slit_rate
 
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Carpet", "ConfigError", "DEFAULTS", "DetectionSpec", "DomainError",
-    "GratingSpec", "McRun", "Pattern", "ResolutionCapError", "RunConfig",
+    "GratingSpec", "Pattern", "ResolutionCapError", "RunConfig",
     "SlmProfile", "SourceSpec", "TalbotSimError", "beta_from_fwhm",
     "binary_transmission", "build_config", "carpet", "effective_distance",
     "fourier_coefficient", "fresnel_field", "fresnel_intensity",

@@ -22,8 +22,8 @@ from .csvio import (write_carpet_csv, write_mc_csv, write_oracle_csv,
 from .errors import ConfigError, DomainError, ResolutionCapError
 from .grating import SlmProfile, render_slm_mask, write_pgm
 from .model import (NORM_COLUMN_MAX_ONE, NORM_RAW, SPECTRAL_SAMPLES,
-                    SPECTRAL_SPAN, talbot_length)
-from .montecarlo import RNG_ID, McRun, simulate_scan
+                    SPECTRAL_SPAN, spectral_grid, talbot_length)
+from .montecarlo import RNG_ID, simulate_scan
 from .oracle import DEFAULT_MAX_WINDOWS, fresnel_intensity
 from .propagation import carpet, intensity, scan
 from .units import fmt, fmt_exact, parse_length
@@ -116,10 +116,16 @@ def _spectral_comments(args: argparse.Namespace) -> list[str]:
             f"# spectral-span: {fmt_exact(args.spectral_span)}"]
 
 
+def _scan_curve(args: argparse.Namespace, cfg: RunConfig):
+    """scan() of cfg over the spectrum set by _add_spectral's flags."""
+    source = cfg.source()
+    grid = spectral_grid(source, args.spectral_samples, args.spectral_span)
+    return scan(source, cfg.grating(), cfg.detection(), grid=grid)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    pattern = scan(cfg.source(), cfg.grating(), cfg.detection(),
-                   samples=args.spectral_samples, span=args.spectral_span)
+    pattern = _scan_curve(args, cfg)
     comments = echo_lines(cfg) + _spectral_comments(args) + [
         f"# magnification: {fmt_exact(pattern.meta['magnification'])}",
         f"# abscissa: {pattern.meta['abscissa']}",
@@ -158,16 +164,12 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    run = McRun(seed=args.seed, events_per_point=args.events_per_point,
-                source=cfg.source(), grating=cfg.grating(),
-                scan=cfg.detection(),
-                spectral_samples=args.spectral_samples,
-                spectral_span=args.spectral_span)
-    pattern = simulate_scan(run)
+    pattern = simulate_scan(_scan_curve(args, cfg), args.seed,
+                            args.events_per_point)
     comments = echo_lines(cfg) + [
-        f"# seed: {run.seed}",
+        f"# seed: {args.seed}",
         f"# rng: {RNG_ID}",
-        f"# events-per-point: {fmt_exact(run.events_per_point)}",
+        f"# events-per-point: {fmt_exact(args.events_per_point)}",
     ] + _spectral_comments(args)
     write_mc_csv(args.out, pattern, comments)
     return EXIT_OK
@@ -189,14 +191,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    source, grating = cfg.source(), cfg.grating()
-    pattern = scan(source, grating, cfg.detection(),
-                   samples=args.spectral_samples, span=args.spectral_span)
-    period = grating.d * pattern.meta["magnification"]
+    pattern = _scan_curve(args, cfg)
+    period = cfg.d * pattern.meta["magnification"]
     z_lo = parse_length(args.z_lo) if args.z_lo else 0.8 * cfg.z
     z_hi = parse_length(args.z_hi) if args.z_hi else 1.3 * cfg.z
-    revival = revival_distance(source, grating, cfg.lambda0, z_lo, z_hi,
-                               steps=args.z_steps)
+    revival = revival_distance(cfg.source(), cfg.grating(), cfg.lambda0,
+                               z_lo, z_hi, steps=args.z_steps)
     lines = echo_lines(cfg) + [
         f"visibility = {fmt(visibility(pattern))}",
         f"fringe_fraction = {fmt(fringe_width_fraction(pattern, period))}",
@@ -240,8 +240,10 @@ def _mask_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--height-px", type=int, default=SlmProfile.height_px,
                      metavar="N", help="mask height in pixels "
                                        "(default %(default)s)")
-    sub.add_argument("--pixel-pitch", default="36um", metavar="VALUE",
-                     help="pixel size (default 36um)")
+    # the bare-meter repr parses back to the default bit for bit
+    sub.add_argument("--pixel-pitch", metavar="VALUE",
+                     default=fmt_exact(SlmProfile.pixel_pitch),
+                     help="pixel size (default %(default)s m)")
     sub.add_argument("--gray-open", type=int, default=SlmProfile.gray_open,
                      metavar="G", help="gray level of open columns "
                                        "(default %(default)s)")

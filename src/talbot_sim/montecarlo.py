@@ -8,14 +8,10 @@ the points are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
-from .model import (SPECTRAL_SAMPLES, SPECTRAL_SPAN, DetectionSpec,
-                    GratingSpec, Pattern, SourceSpec)
-from .propagation import scan
+from .model import NORM_MAX_ONE, NORM_RAW, Pattern
 
 # Counter-based generator keyed by the seed; stream i starts at counter
 # offset i * 2**128, which is what Philox.jumped(i) gives.
@@ -27,39 +23,26 @@ _U64_MAX = 2 ** 64 - 1
 _MAX_EVENTS = 1e18
 
 
-@dataclass(frozen=True)
-class McRun:
-    """One photon-counting run: seed, dwell, and the physics it samples."""
+def simulate_scan(curve: Pattern, seed: int,
+                  events_per_point: float) -> Pattern:
+    """Simulate counting at every position of a scan curve.
 
-    seed: int
-    events_per_point: float
-    source: SourceSpec
-    grating: GratingSpec
-    scan: DetectionSpec
-    spectral_samples: int = SPECTRAL_SAMPLES
-    spectral_span: float = SPECTRAL_SPAN
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed <= _U64_MAX:
-            raise DomainError("seed must fit an unsigned 64-bit integer")
-        if not 0 < self.events_per_point <= _MAX_EVENTS:
-            raise DomainError("events_per_point must be positive and at "
-                              f"most {_MAX_EVENTS:g}")
-
-
-def simulate_scan(run: McRun) -> Pattern:
-    """Simulate counting at every scan position.
-
-    The peak-normalized curve of scan() is scaled by events_per_point;
-    each point's count is Poisson with that mean, with sqrt(count)
-    recorded as its shot-noise bar. One generator serves every point:
-    it is rewound to the key's start and advanced to point i's stream
-    before point i draws.
+    curve is the peak-normalized Pattern that scan() returns; it is
+    scaled by events_per_point, and each point's count is Poisson with
+    that mean, with sqrt(count) recorded as its shot-noise bar.  One
+    generator serves every point: it is rewound to the key's start and
+    advanced to point i's stream before point i draws.
     """
-    curve = scan(run.source, run.grating, run.scan,
-                 samples=run.spectral_samples, span=run.spectral_span)
-    means = run.events_per_point * curve.values
-    bits = np.random.Philox(key=run.seed)
+    if curve.norm != NORM_MAX_ONE:
+        raise DomainError(f"simulate_scan samples a {NORM_MAX_ONE} curve, "
+                          f"got norm {curve.norm!r}")
+    if not 0 <= seed <= _U64_MAX:
+        raise DomainError("seed must fit an unsigned 64-bit integer")
+    if not 0 < events_per_point <= _MAX_EVENTS:
+        raise DomainError("events_per_point must be positive and at "
+                          f"most {_MAX_EVENTS:g}")
+    means = events_per_point * curve.values
+    bits = np.random.Philox(key=seed)
     gen = np.random.Generator(bits)
     start = bits.state
     counts = np.empty(means.size)
@@ -70,10 +53,10 @@ def simulate_scan(run: McRun) -> Pattern:
     errors = np.sqrt(counts)
     meta = {
         **curve.meta,
-        "seed": run.seed,
+        "seed": seed,
         "rng": RNG_ID,
-        "events_per_point": run.events_per_point,
+        "events_per_point": events_per_point,
         "expected_means": means,
     }
-    return Pattern(positions=curve.positions, values=counts, norm="raw",
+    return Pattern(positions=curve.positions, values=counts, norm=NORM_RAW,
                    errors=errors, meta=meta)

@@ -24,9 +24,9 @@ import numpy as np
 from .errors import DomainError
 from .grating import coefficient_table
 from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW,
-                    SCRATCH_BUDGET, SPECTRAL_SAMPLES, SPECTRAL_SPAN, Carpet,
-                    DetectionSpec, GratingSpec, Pattern, SourceSpec,
-                    effective_distance, magnification, spectral_grid)
+                    SCRATCH_BUDGET, Carpet, DetectionSpec, GratingSpec,
+                    Pattern, SourceSpec, effective_distance, magnification,
+                    spectral_grid)
 
 # Scratch doubles per row and per FFT point: the complex chirp, spectrum
 # and product rows and their real temporaries (tracemalloc reads about 9
@@ -256,19 +256,17 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
 
 
 def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
-         samples: int = SPECTRAL_SAMPLES,
-         span: float = SPECTRAL_SPAN) -> Pattern:
+         grid=None) -> Pattern:
     """Sweep the slit across the pattern and return it as a Pattern.
 
     The slit is swept while the grating stays put; positions are the
-    slit coordinates X.  The spectrum is spectral_grid(source, samples,
-    span).  The curve peaks at 1 and the raw peak rate is kept in
-    meta["raw_max"].
+    slit coordinates X.  grid names the spectrum as in
+    polychromatic_rate.  The curve peaks at 1 and the raw peak rate is
+    kept in meta["raw_max"].
     """
     positions = det.positions()
-    rates = np.asarray(polychromatic_rate(
-        positions, source, grating, det,
-        grid=spectral_grid(source, samples=samples, span=span)), dtype=float)
+    rates = np.asarray(polychromatic_rate(positions, source, grating, det,
+                                          grid=grid), dtype=float)
     raw_max = float(rates.max())
     if raw_max <= 0:
         raise DomainError("pattern is identically zero")

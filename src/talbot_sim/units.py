@@ -11,51 +11,63 @@ import re
 
 from .errors import ConfigError
 
+# Power of ten of one unit in meters; a bare number is meters already.
 # "µm" is accepted alongside the ASCII spelling.
-_LENGTH_UNITS = {
-    "nm": 1e-9,
-    "um": 1e-6,
-    "µm": 1e-6,
-    "mm": 1e-3,
-    "m": 1.0,
+_LENGTH_POWERS = {
+    "": 0,
+    "nm": -9,
+    "um": -6,
+    "µm": -6,
+    "mm": -3,
+    "m": 0,
 }
 
 _VALUE_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$")
 
 
-def _number(text: str, what: str) -> tuple[float, str]:
-    """The finite number in text and its unit suffix ('' if none)."""
+def _decimal(text: str, what: str) -> tuple[str, int, str]:
+    """The mantissa text, the decimal exponent and the unit suffix ('' if
+    none) of the number in text."""
     m = _VALUE_RE.match(text)
     if not m:
         raise ConfigError(f"cannot parse {what} value {text!r}")
+    mantissa, sep, exponent = m.group(1).lower().partition("e")
     try:
-        value = float(m.group(1))
+        float(mantissa)
+        power = int(exponent) if sep else 0
     except ValueError:
         raise ConfigError(f"cannot parse number in {text!r}") from None
+    return mantissa, power, m.group(2)
+
+
+def _rounded(text: str, mantissa: str, power: int) -> float:
+    """The double nearest mantissa * 10**power, which must be finite.
+
+    The power goes into the decimal text, so float() rounds once: '360um'
+    reads as 360e-6, where 360 * 1e-6 would round twice and land one ulp
+    off.
+    """
+    value = float(f"{mantissa}e{power}")
     if not math.isfinite(value):
         raise ConfigError(f"number out of range in {text!r}")
-    return value, m.group(2)
+    return value
 
 
 def parse_length(text: str) -> float:
     """Parse a length like '360 um', '160mm' or '8.1e-7' into meters."""
-    value, unit = _number(text, "length")
-    if unit == "":
-        return value
-    try:
-        return value * _LENGTH_UNITS[unit]
-    except KeyError:
+    mantissa, power, unit = _decimal(text, "length")
+    if unit not in _LENGTH_POWERS:
         raise ConfigError(
-            f"unknown length unit {unit!r} (use nm, um, mm or m)"
-        ) from None
+            f"unknown length unit {unit!r} (use nm, um, mm or m)")
+    return _rounded(text, mantissa, power + _LENGTH_POWERS[unit])
 
 
 def parse_float(text: str) -> float:
     """Parse a dimensionless value; unit suffixes are rejected."""
-    value, unit = _number(text, "dimensionless")
+    mantissa, power, unit = _decimal(text, "dimensionless")
     if unit != "":
         raise ConfigError(f"cannot parse dimensionless value {text!r}")
-    return value
+    return _rounded(text, mantissa, power)
 
 
 def parse_int(text: str) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from talbot_sim import (DetectionSpec, GratingSpec, McRun, SourceSpec,
+from talbot_sim import (DetectionSpec, GratingSpec, SourceSpec,
                         build_config, fresnel_intensity,
                         fringe_width_fraction, intensity, render_slm_mask,
                         revival_distance, scan, simulate_scan, slit_rate,
@@ -197,9 +197,8 @@ def test_criterion_7_photon_count_statistics():
     # statistically consistent with its own expected means, and the
     # sqrt(count) bars must cover one sigma's worth of points
     src, g, det = CFG.source(), CFG.grating(), CFG.detection()
-    run = McRun(seed=7, events_per_point=1000.0, source=src, grating=g,
-                scan=det)
-    pat = simulate_scan(run)
+    curve = scan(src, g, det)
+    pat = simulate_scan(curve, 7, 1000.0)
     means = pat.meta["expected_means"]
     chi2 = float(np.sum((pat.values - means) ** 2 / means))
     p = float(scipy.stats.chi2.sf(chi2, df=means.size))
@@ -208,8 +207,7 @@ def test_criterion_7_photon_count_statistics():
     inside = 0
     total = 0
     for seed in range(50):
-        mc = simulate_scan(McRun(seed=seed, events_per_point=1000.0,
-                                 source=src, grating=g, scan=det))
+        mc = simulate_scan(curve, seed, 1000.0)
         m = mc.meta["expected_means"]
         inside += int(np.sum(np.abs(mc.values - m) <= np.sqrt(mc.values)))
         total += m.size
@@ -229,9 +227,9 @@ def test_criterion_8_visibility_across_duty_cycles():
     diffs = []
     for i, f in enumerate((0.1, 0.2, 0.3, 0.4, 0.5)):
         g = GratingSpec(d=CFG.d, f=f)
-        vis = visibility(scan(src, g, det))
-        mc = simulate_scan(McRun(seed=1000 + i, events_per_point=10_000.0,
-                                 source=src, grating=g, scan=det))
+        curve = scan(src, g, det)
+        vis = visibility(curve)
+        mc = simulate_scan(curve, 1000 + i, 10_000.0)
         analytic.append(vis)
         diffs.append(abs(vis - visibility(mc)))
     spread = max(analytic) - min(analytic)

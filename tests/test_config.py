@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given
@@ -199,6 +200,27 @@ def test_parse_length_units():
     for text in ("1e400", "-1e400 mm", "1e400um"):
         with pytest.raises(ConfigError, match="out of range"):
             parse_length(text)
+
+
+# decimal number text: sign, digits with an optional point, optional exponent
+_DECIMALS = st.builds(
+    lambda sign, whole, frac, exp: f"{sign}{whole}{frac}{exp}",
+    st.sampled_from(["", "-", "+"]),
+    st.integers(0, 10 ** 12).map(str),
+    st.one_of(st.just(""), st.integers(0, 10 ** 9).map(lambda n: f".{n}")),
+    st.one_of(st.just(""), st.integers(-30, 30).map(lambda n: f"e{n}")))
+_POWERS = {"": 0, "nm": -9, "um": -6, "µm": -6, "mm": -3, "m": 0}
+
+
+@given(_DECIMALS, st.sampled_from(sorted(_POWERS)))
+@example("360", "um")
+@example("810", "nm")
+@example("115", "um")
+@example("50", "nm")
+def test_parse_length_is_the_nearest_double(text, unit):
+    # the spelled length, scaled exactly and rounded once
+    exact = Fraction(text) * Fraction(10) ** _POWERS[unit]
+    assert parse_length(text + unit) == float(exact)
 
 
 def test_parse_float_and_int():

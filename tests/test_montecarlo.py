@@ -4,31 +4,52 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from talbot_sim import DomainError, McRun, beta_from_fwhm, scan, simulate_scan
+from talbot_sim import (DomainError, Pattern, beta_from_fwhm, scan,
+                        simulate_scan, spectral_grid)
 from talbot_sim.montecarlo import RNG_ID
 
 from helpers import (FWHM, baseline_detection, baseline_grating,
                      point_rng, point_source)
 
 
-def _run(seed=7, events=1000.0, f=0.3, beta=None, **kw):
-    src = point_source(beta=beta_from_fwhm(FWHM) if beta is None else beta)
-    return McRun(seed=seed, events_per_point=events,
-                 source=src, grating=baseline_grating(f=f),
-                 scan=baseline_detection(), **kw)
+def _curve(f=0.3, samples=41, span=3.0):
+    src = point_source(beta=beta_from_fwhm(FWHM))
+    return scan(src, baseline_grating(f=f), baseline_detection(),
+                grid=spectral_grid(src, samples, span))
+
+
+def _run(seed=7, events=1000.0, **kw):
+    return simulate_scan(_curve(**kw), seed, events)
 
 
 def test_simulate_scan_deterministic_per_seed():
-    a = simulate_scan(_run(seed=7))
-    b = simulate_scan(_run(seed=7))
+    a = _run(seed=7)
+    b = _run(seed=7)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.errors, b.errors)
-    c = simulate_scan(_run(seed=8))
+    c = _run(seed=8)
     assert not np.array_equal(a.values, c.values)
 
 
+def test_one_curve_sampled_twice_gives_equal_counts():
+    curve = _curve()
+    a = simulate_scan(curve, 7, 1000.0)
+    b = simulate_scan(curve, 7, 1000.0)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.meta["expected_means"],
+                          b.meta["expected_means"])
+
+
+def test_simulate_scan_rejects_a_raw_curve():
+    curve = _curve()
+    raw = Pattern(positions=curve.positions,
+                  values=curve.values * curve.meta["raw_max"])
+    with pytest.raises(DomainError, match="max-one"):
+        simulate_scan(raw, 7, 1000.0)
+
+
 def test_simulate_scan_errors_and_meta():
-    pat = simulate_scan(_run(seed=7))
+    pat = _run(seed=7)
     assert pat.norm == "raw"
     assert np.array_equal(pat.errors, np.sqrt(pat.values))
     assert pat.meta["seed"] == 7
@@ -40,16 +61,14 @@ def test_simulate_scan_errors_and_meta():
 
 
 def test_expected_means_are_the_scan_curve():
-    run = _run(seed=7, events=1234.5, spectral_samples=11, spectral_span=2.5)
-    pat = simulate_scan(run)
-    curve = scan(run.source, run.grating, run.scan, samples=11, span=2.5)
+    curve = _curve(samples=11, span=2.5)
+    pat = simulate_scan(curve, 7, 1234.5)
     assert np.array_equal(pat.positions, curve.positions)
-    assert np.array_equal(pat.meta["expected_means"],
-                          run.events_per_point * curve.values)
+    assert np.array_equal(pat.meta["expected_means"], 1234.5 * curve.values)
 
 
 def test_simulate_scan_vanishing_dwell_gives_zero_counts():
-    pat = simulate_scan(_run(seed=7, events=1e-12))
+    pat = _run(seed=7, events=1e-12)
     assert np.all(pat.values == 0)
 
 
@@ -57,7 +76,7 @@ def test_counts_converge_to_expected_means():
     # normalized counts approach the rate curve as the dwell grows
     devs = []
     for events in (100.0, 1000.0, 10000.0):
-        pat = simulate_scan(_run(seed=2026, events=events))
+        pat = _run(seed=2026, events=events)
         means = pat.meta["expected_means"]
         devs.append(float(np.max(np.abs(pat.values - means)) / events))
     assert devs[0] > devs[1] > devs[2]
@@ -66,7 +85,7 @@ def test_counts_converge_to_expected_means():
 def test_counts_follow_poisson_law():
     # Pearson chi-square of one frozen run against its own means;
     # wildly wrong count statistics would push p below the floor
-    pat = simulate_scan(_run(seed=7))
+    pat = _run(seed=7)
     means = pat.meta["expected_means"]
     chi2 = float(np.sum((pat.values - means) ** 2 / means))
     p = scipy.stats.chi2.sf(chi2, df=means.size)
@@ -84,23 +103,20 @@ def test_point_streams_are_reproducible_and_distinct():
 @pytest.mark.parametrize("events", [5.0, 1000.0, 1e18])
 def test_counts_are_the_reference_point_streams(seed, events):
     # means on both sides of numpy's switch of Poisson sampler at 10
-    pat = simulate_scan(_run(seed=seed, events=events))
+    pat = _run(seed=seed, events=events)
     means = pat.meta["expected_means"]
     expected = [point_rng(seed, i).poisson(m) for i, m in enumerate(means)]
     assert np.array_equal(pat.values, expected)
 
 
 def test_mcrun_validation():
-    with pytest.raises(DomainError):
-        _run(seed=-1)
-    with pytest.raises(DomainError):
-        _run(seed=2 ** 64)
-    with pytest.raises(DomainError):
-        _run(events=0.0)
-    with pytest.raises(DomainError):
-        _run(events=-5.0)
+    # the seed and dwell bounds of simulate_scan
+    curve = _curve()
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(DomainError, match="seed"):
+            simulate_scan(curve, seed, 1000.0)
     # numpy's Poisson sampler refuses means above about 9.2e18
-    for events in (float("inf"), float("nan"), 1e30, 1.01e18):
-        with pytest.raises(DomainError):
-            _run(events=events)
-    assert _run(events=1e18).events_per_point == 1e18
+    for events in (0.0, -5.0, float("inf"), float("nan"), 1e30, 1.01e18):
+        with pytest.raises(DomainError, match="events_per_point"):
+            simulate_scan(curve, 7, events)
+    assert simulate_scan(curve, 7, 1e18).meta["events_per_point"] == 1e18
