@@ -12,7 +12,7 @@ from .model import (Carpet, DetectionSpec, GratingSpec, Pattern, SourceSpec,
                     spectral_grid, talbot_length)
 from .montecarlo import simulate_scan
 from .oracle import fresnel_field, fresnel_intensity
-from .propagation import carpet, intensity, polychromatic_rate, scan, slit_rate
+from .propagation import carpet, intensity, polychromatic_rate, scan
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,7 @@ __all__ = [
     "fourier_coefficient", "fresnel_field", "fresnel_intensity",
     "fringe_width_fraction", "intensity", "magnification",
     "polychromatic_rate", "read_config_file", "render_slm_mask",
-    "revival_distance", "scan", "simulate_scan",
-    "slit_rate", "spectral_grid", "talbot_length",
+    "revival_distance", "scan", "simulate_scan", "spectral_grid",
+    "talbot_length",
     "truncated_transmission", "visibility", "write_pgm",
 ]

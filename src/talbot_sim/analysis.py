@@ -29,11 +29,6 @@ def visibility(pattern: Pattern) -> float:
     return (vmax - vmin) / (vmax + vmin)
 
 
-def _half_crossing(x0, v0, x1, v1, level):
-    # linear interpolation between neighboring samples
-    return x0 + (level - v0) * (x1 - x0) / (v1 - v0)
-
-
 def fringe_width_fraction(pattern: Pattern, period: float) -> float:
     """Mean full width at half maximum of the fringes, in period units.
 
@@ -54,24 +49,21 @@ def fringe_width_fraction(pattern: Pattern, period: float) -> float:
         raise DomainError("insufficient fringes: pattern is flat")
     half = 0.5 * (vmax + vmin)
 
-    widths = []
     above = v >= half
-    i = 0
-    n = v.size
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
-        # runs touching either end have no measurable width
-        if i > 0 and j < n - 1:
-            left = _half_crossing(x[i - 1], v[i - 1], x[i], v[i], half)
-            right = _half_crossing(x[j], v[j], x[j + 1], v[j + 1], half)
-            widths.append(right - left)
-        i = j + 1
-    if len(widths) < 2:
+    rises = np.flatnonzero(~above[:-1] & above[1:])
+    falls = np.flatnonzero(above[:-1] & ~above[1:])
+    # runs touching either end have no measurable width
+    if above[0]:
+        falls = falls[1:]
+    if above[-1]:
+        rises = rises[:-1]
+
+    def crossing(k):
+        # linear interpolation between samples k and k + 1
+        return x[k] + (half - v[k]) * (x[k + 1] - x[k]) / (v[k + 1] - v[k])
+
+    widths = crossing(falls) - crossing(rises)
+    if widths.size < 2:
         raise DomainError("insufficient fringes: need at least two full fringes")
     return float(np.mean(widths)) / period
 

@@ -3,7 +3,6 @@ the pixel mask that displays it on a spatial light modulator."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +33,21 @@ class SlmProfile:
             raise DomainError("open and closed gray levels must differ")
 
 
-def fourier_coefficient(n: int, f: float) -> float:
-    """Harmonic amplitude of the grating: sin(n*pi*f)/(n*pi), read as f at n=0."""
+def fourier_coefficient(n, f: float):
+    """Harmonic amplitude A_n = sin(n*pi*f)/(n*pi) of the grating, f at n=0.
+
+    n may be an integer or an integer array.  f*sinc(n*f) is the same
+    amplitude and handles n=0 without a branch.
+    """
     if not 0 < f <= 1:
         raise DomainError("open fraction f must be in (0, 1]")
-    if n == 0:
-        return f
-    return math.sin(n * math.pi * f) / (n * math.pi)
+    return f * np.sinc(n * f)
 
 
 def coefficient_table(g: GratingSpec) -> tuple[np.ndarray, np.ndarray]:
     """Orders -trunc..trunc and their amplitudes, as two aligned arrays."""
     ns = np.arange(-g.trunc, g.trunc + 1)
-    # f*sinc(n*f) equals sin(n*pi*f)/(n*pi) and handles n=0 without a branch
-    return ns, g.f * np.sinc(ns * g.f)
+    return ns, fourier_coefficient(ns, g.f)
 
 
 def binary_transmission(x, g: GratingSpec):

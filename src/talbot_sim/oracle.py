@@ -73,9 +73,14 @@ def _window_edges(g: GratingSpec, half_width: float,
     return lo, hi
 
 
-def _fields(xs: np.ndarray, lam: float, source: SourceSpec, g: GratingSpec,
-            z: float, max_windows: int) -> np.ndarray:
-    """Complex field at each probe position in xs (a 1-D array)."""
+def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
+                  z: float, max_windows: int = DEFAULT_MAX_WINDOWS):
+    """Complex field at lateral position x on the plane at distance z.
+
+    x may be a scalar, which gives a complex, or an array, which gives a
+    complex array of its shape.  Raises ResolutionCapError when the
+    aperture holds more than max_windows open grating windows.
+    """
     # imported here, not at module level: scipy takes longer to import than
     # every other subcommand takes to run, and only the oracle needs it
     from scipy.special import fresnel
@@ -84,6 +89,7 @@ def _fields(xs: np.ndarray, lam: float, source: SourceSpec, g: GratingSpec,
         raise DomainError("wavelength must be positive")
     if z <= 0:
         raise DomainError("propagation distance must be positive")
+    xs = np.asarray(x, dtype=float).ravel()
     lo, hi = _window_edges(g, source.delta, max_windows)
     edges = np.concatenate([lo, hi])
     signs = np.concatenate([-np.ones(lo.size), np.ones(hi.size)])
@@ -108,18 +114,10 @@ def _fields(xs: np.ndarray, lam: float, source: SourceSpec, g: GratingSpec,
         s, c = fresnel(scale * np.subtract.outer(edges, centers[i:j]))
         sums[i:j] = signs @ c - 1j * (signs @ s)
     prefactor = np.sqrt(1j / lam) / (z * scale)
-    return prefactor * np.exp(-1j * phase) * sums
-
-
-def fresnel_field(x: float, lam: float, source: SourceSpec, g: GratingSpec,
-                  z: float, max_windows: int = DEFAULT_MAX_WINDOWS) -> complex:
-    """Complex field at lateral position x on the plane at distance z.
-
-    Raises ResolutionCapError when the aperture holds more than
-    max_windows open grating windows.
-    """
-    return complex(_fields(np.array([float(x)]), lam, source, g, z,
-                           max_windows)[0])
+    fields = prefactor * np.exp(-1j * phase) * sums
+    if np.ndim(x) == 0:
+        return complex(fields[0])
+    return fields.reshape(np.shape(x))
 
 
 def fresnel_intensity(xs, lam: float, source: SourceSpec, g: GratingSpec,
@@ -127,5 +125,4 @@ def fresnel_intensity(xs, lam: float, source: SourceSpec, g: GratingSpec,
                       ) -> np.ndarray:
     """|field|^2 at each probe position (probes are independent)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    fields = _fields(xs.ravel(), lam, source, g, z, max_windows)
-    return (np.abs(fields) ** 2).reshape(xs.shape)
+    return np.abs(fresnel_field(xs, lam, source, g, z, max_windows)) ** 2

@@ -7,12 +7,13 @@ coefficients c_n = A_n exp(i*n^2*b), b = pi*lam*z_eff/d^2.  Its intensity
 the autocorrelation of c, which one FFT sums (_harmonics).  One engine,
 _plane_harmonics, gives every plane its spectrum-weighted harmonics
 H_q = sum_w weight_w C_q(b_w) and its a = 2*pi/(d*M).  Each observable is
-a cosine sum sum_q w_q cos(q*a*x) over them: the intensity and the carpet
-take w = (H_0, 2*H_1, 2*H_2, ...) of one node, the slit rate folds in the
-slit factor, and the revival search (analysis) correlates H_q with the
-grating's own harmonics.  On an evenly spaced grid of P positions the sum
-is a chirp-z transform, one FFT convolution of about 2*trunc + P points
-(_chirp_z); scalars and other positions cost 2*trunc cosines each.
+a cosine sum sum_q w_q cos(q*a*x) over them, taken by one step (_series)
+with w = (H_0, 2*H_1, 2*H_2, ...): the intensity and the carpet of one
+node, and the slit rate with the slit factor folded in.  The revival
+search (analysis) correlates H_q with the grating's own harmonics.  On
+an evenly spaced grid of P positions the sum is a chirp-z transform, one
+FFT convolution of about 2*trunc + P points (_chirp_z); scalars and other
+positions cost 2*trunc cosines each.
 """
 
 from __future__ import annotations
@@ -206,31 +207,46 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
         yield block, harm, a[block]
 
 
+def _series(source: SourceSpec, grating: GratingSpec, grid, zs, x,
+            slit_width: float | None = None):
+    """sum_q w_q cos(q*a*x) on the planes zs from their _plane_harmonics,
+    w = (H_0, 2*H_1, 2*H_2, ...): the intensity.
+
+    With slit_width D the harmonics are integrated across a slit spanning
+    [x, x + D]: harmonic q takes sin(q*a*D/2)/(q*a) (q = 0 the limit D/2)
+    and its phase factor at the slit center x + D/2.  A 1-D zs gives an
+    array of shape (zs.size, x.size); a scalar z gives the plane's values
+    shaped like x, a float for a scalar x.
+    """
+    xs = np.asarray(x, dtype=float)
+    if slit_width is not None:
+        xs = xs + slit_width / 2.0
+    planes = np.atleast_1d(zs)
+    values = np.empty((planes.size, xs.size))
+    for rows, harm, a in _plane_harmonics(source, grating, grid, planes):
+        harm[:, 1:] *= 2.0
+        if slit_width is not None:
+            qa = np.multiply.outer(a, np.arange(1, harm.shape[1]))
+            harm[:, 0] = harm[:, 0] * slit_width / 2.0
+            harm[:, 1:] = harm[:, 1:] * np.sin(qa * slit_width / 2.0) / qa
+        values[rows] = _cosine_sums(harm, a, xs)
+    if np.ndim(zs):
+        return values
+    if np.isscalar(x):
+        return float(values[0, 0])
+    return values[0].reshape(np.shape(x))
+
+
 def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
               z: float):
     """Monochromatic intensity at lateral position x, distance z.
 
     x may be a scalar or an array.  The pattern is periodic with the
     magnified period d*(1 + z/z0) and normalized so that a fully open
-    grating gives 1.  It is sum_q w_q cos(q*a*x) with the one-node
-    harmonics, w = (C_0, 2*C_1, 2*C_2, ...): an evenly spaced grid costs
-    one FFT convolution, any other x O(trunc) per position.
+    grating gives 1.  An evenly spaced grid costs one FFT convolution,
+    any other x O(trunc) per position.
     """
-    [(_, harm, a)] = _plane_harmonics(source, grating, [(lam, 1.0)], [z])
-    harm[:, 1:] *= 2.0
-    vals = _cosine_sums(harm, a, x)[0]
-    if np.isscalar(x):
-        return float(vals[0])
-    return vals.reshape(np.shape(x))
-
-
-def slit_rate(x, lam: float, source: SourceSpec, grating: GratingSpec,
-              det: DetectionSpec):
-    """Monochromatic count rate behind a slit spanning [x, x + slit_width].
-
-    The one-node case of polychromatic_rate.
-    """
-    return polychromatic_rate(x, source, grating, det, grid=[(lam, 1.0)])
+    return _series(source, grating, [(lam, 1.0)], z, x)
 
 
 def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
@@ -238,21 +254,12 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
     """Spectrum-weighted count rate behind a slit spanning [x, x + slit_width].
 
     grid is a list of (wavelength, weight) nodes; by default it is
-    spectral_grid(source).  The weighted harmonics are summed in node
-    order.  Integrating harmonic q across the slit gives sin(q*a*D/2)/(q*a)
-    times its phase factor at the slit center; q = 0 takes the limit D/2.
+    spectral_grid(source), and [(lam, 1.0)] gives the monochromatic rate.
+    The weighted harmonics are summed in node order.
     """
     if grid is None:
         grid = spectral_grid(source)
-    [(_, [harm], [a])] = _plane_harmonics(source, grating, grid, [det.z])
-    width = det.slit_width
-    qa = np.arange(1, harm.size) * a
-    harm[0] = harm[0] * width / 2.0
-    harm[1:] = 2.0 * harm[1:] * np.sin(qa * width / 2.0) / qa
-    vals = _cosine_sums(harm, a, np.asarray(x, dtype=float) + width / 2.0)[0]
-    if np.isscalar(x):
-        return float(vals[0])
-    return vals.reshape(np.shape(x))
+    return _series(source, grating, grid, det.z, x, det.slit_width)
 
 
 def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
@@ -288,8 +295,7 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     """Monochromatic intensity on a full (z, x) raster.
 
     Row i holds the pattern at z_grid[i].  With norm="per-column-max-one"
-    each x column is rescaled to peak at 1 across z.  Each
-    _plane_harmonics block of rows takes one batched _cosine_sums.
+    each x column is rescaled to peak at 1 across z.
     """
     if lam is None:
         lam = source.lambda0
@@ -297,10 +303,7 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     zs = np.asarray(z_grid, dtype=float)
     if zs.size == 0:
         raise DomainError("carpet z grid is empty")
-    values = np.empty((zs.size, xs.size))
-    for rows, harm, a in _plane_harmonics(source, grating, [(lam, 1.0)], zs):
-        harm[:, 1:] *= 2.0
-        values[rows] = _cosine_sums(harm, a, xs)
+    values = _series(source, grating, [(lam, 1.0)], zs, xs)
     if norm == NORM_COLUMN_MAX_ONE:
         peaks = values.max(axis=0)
         if np.any(peaks <= 0):

@@ -16,10 +16,10 @@ import scipy.stats
 
 from talbot_sim import (DetectionSpec, GratingSpec, SourceSpec,
                         build_config, fresnel_intensity,
-                        fringe_width_fraction, intensity, render_slm_mask,
-                        revival_distance, scan, simulate_scan, slit_rate,
-                        talbot_length, truncated_transmission, visibility,
-                        write_pgm)
+                        fringe_width_fraction, intensity, polychromatic_rate,
+                        render_slm_mask, revival_distance, scan,
+                        simulate_scan, talbot_length, truncated_transmission,
+                        visibility, write_pgm)
 from talbot_sim.grating import coefficient_table, read_pgm
 
 from helpers import D, LAMBDA0, TALBOT, Z0, mp_fresnel_field
@@ -144,7 +144,7 @@ def test_criterion_5_slit_integral_consistency():
                         scan_end=594e-6, scan_step=12e-6)
     xs = det.positions()
     assert xs.size == 100
-    rates = slit_rate(xs, LAMBDA0, src, g, det)
+    rates = polychromatic_rate(xs, src, g, det, grid=[(LAMBDA0, 1.0)])
 
     x0 = float(xs[0])
     levels = {}

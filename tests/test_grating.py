@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talbot_sim import (DomainError, GratingSpec, SlmProfile,
                         binary_transmission, fourier_coefficient,
@@ -59,6 +61,18 @@ def test_coefficient_table_matches_scalar_function():
         # table and scalar paths agree to rounding noise
         assert c == pytest.approx(fourier_coefficient(int(n), 0.3),
                                   rel=1e-13, abs=1e-17)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.floats(1e-3, 1.0), trunc=st.integers(1, 4000))
+def test_coefficient_table_parseval(f, trunc):
+    # Parseval: the kept power sum A_n**2 approaches f from below, and the
+    # dropped tail 2*sum_{n>trunc} sin(n*pi*f)**2/(n*pi)**2 is below
+    # 2/(pi**2*trunc); the table is fourier_coefficient over its orders
+    ns, amps = coefficient_table(GratingSpec(d=D, f=f, trunc=trunc))
+    missing = f - float(np.sum(amps ** 2))
+    assert -1e-15 <= missing < 2 / (math.pi ** 2 * trunc) + 1e-15
+    assert np.array_equal(fourier_coefficient(ns, f), amps)
 
 
 def test_binary_transmission_window():

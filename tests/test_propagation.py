@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
                         effective_distance, fresnel_intensity, intensity,
                         magnification, polychromatic_rate, revival_distance,
-                        scan, slit_rate, truncated_transmission, visibility)
+                        scan, truncated_transmission, visibility)
 from talbot_sim import propagation
 from talbot_sim.grating import coefficient_table
 from talbot_sim.propagation import (_cosine_sums, _direct_cosine_sums,
@@ -114,7 +114,8 @@ def test_slit_rate_full_transmission_is_half_width():
     # (the pattern convention folds a factor 1/2 into the rate)
     g = baseline_grating(f=1.0)
     det = baseline_detection()
-    rate = slit_rate(0.0, LAMBDA0, plane_source(), g, det)
+    rate = polychromatic_rate(0.0, plane_source(), g, det,
+                              grid=[(LAMBDA0, 1.0)])
     assert rate == pytest.approx(det.slit_width / 2, rel=1e-10)
 
 
@@ -124,7 +125,7 @@ def test_slit_rate_narrow_slit_approaches_intensity():
     width = 1e-9
     det = baseline_detection(slit_width=width)
     for x in (-150e-6, 0.0, 87e-6):
-        rate = slit_rate(x, LAMBDA0, src, g, det)
+        rate = polychromatic_rate(x, src, g, det, grid=[(LAMBDA0, 1.0)])
         point = intensity(x + width / 2, LAMBDA0, src, g, det.z)
         assert rate / (width / 2) == pytest.approx(point, rel=1e-6)
 
@@ -146,8 +147,29 @@ def test_slit_rate_matches_quadrature_of_intensity():
             grid = x + det.slit_width / 2 * (1 + t)
             vals = intensity(grid, LAMBDA0, src, g, det.z)
             quad = det.slit_width / 4 * float(w @ vals)
-            rate = slit_rate(x, LAMBDA0, src, g, det)
+            rate = polychromatic_rate(x, src, g, det,
+                                      grid=[(LAMBDA0, 1.0)])
             assert rate == pytest.approx(quad, rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.floats(0.02, 1.0), trunc=st.integers(0, 120),
+       z=st.floats(0.01, 0.4), z0=st.sampled_from([None, 1.9886, 0.5]),
+       width=st.floats(5e-6, 400e-6), x=st.floats(-D, D))
+def test_slit_rate_is_the_slit_integral_of_intensity(f, trunc, z, z0, width,
+                                                     x):
+    # the slit branch of the cosine-series step against Gauss-Legendre
+    # quadrature of its intensity branch over [x, x + width], with enough
+    # nodes to resolve harmonic 2*trunc across the slit
+    src = plane_source(z0=z0)
+    g = GratingSpec(d=D, f=f, trunc=trunc)
+    det = baseline_detection(z=z, slit_width=width)
+    a = g.k_d / magnification(z, z0)
+    t, w = scipy.special.roots_legendre(int(0.7 * 2 * trunc * a * width) + 48)
+    vals = intensity(x + width / 2 * (1 + t), LAMBDA0, src, g, z)
+    quad = width / 4 * float(w @ vals)
+    rate = polychromatic_rate(x, src, g, det, grid=[(LAMBDA0, 1.0)])
+    assert abs(rate - quad) <= 1e-10 * width / 2
 
 
 def test_polychromatic_rate_is_weighted_sum():
@@ -158,8 +180,8 @@ def test_polychromatic_rate_is_weighted_sum():
     xs = np.linspace(-300e-6, 300e-6, 11)
     combo = polychromatic_rate(xs, src, g, det,
                                grid=[(lam1, 0.5), (lam2, 0.5)])
-    want = 0.5 * slit_rate(xs, lam1, src, g, det) \
-        + 0.5 * slit_rate(xs, lam2, src, g, det)
+    want = 0.5 * polychromatic_rate(xs, src, g, det, grid=[(lam1, 1.0)]) \
+        + 0.5 * polychromatic_rate(xs, src, g, det, grid=[(lam2, 1.0)])
     assert combo == pytest.approx(want, rel=1e-14)
 
 
@@ -169,7 +191,8 @@ def test_polychromatic_rate_monochromatic_bitwise():
     det = baseline_detection()
     xs = np.linspace(-300e-6, 300e-6, 11)
     assert np.array_equal(polychromatic_rate(xs, src, g, det),
-                          slit_rate(xs, LAMBDA0, src, g, det))
+                          polychromatic_rate(xs, src, g, det,
+                                             grid=[(LAMBDA0, 1.0)]))
 
 
 def test_polychromatic_rate_rejects_empty_grid():
