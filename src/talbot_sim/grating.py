@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import GratingSpec
+from .model import GratingSpec, shaped_like
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def fourier_coefficient(n, f: float):
     """
     if not 0 < f <= 1:
         raise DomainError("open fraction f must be in (0, 1]")
-    return f * np.sinc(n * f)
+    return shaped_like(n, f * np.sinc(np.asarray(n) * f))
 
 
 def coefficient_table(g: GratingSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -54,32 +54,21 @@ def binary_transmission(x, g: GratingSpec):
     """Ideal 0/1 transmission at position x (meters).
 
     The open window covers [-f*d/2, f*d/2) of each period, with x
-    wrapped into (-d/2, d/2].  Scalar in, scalar out; arrays broadcast.
+    wrapped into (-d/2, d/2].
     """
     xw = np.mod(x, g.d)
     xw = np.where(xw > g.d / 2, xw - g.d, xw)
     half = g.f * g.d / 2
     open_ = (xw >= -half) & (xw < half)
-    if np.isscalar(x):
-        return int(open_)
-    return open_.astype(int)
+    return shaped_like(x, open_.astype(int))
 
 
 def truncated_transmission(x, g: GratingSpec):
-    """Harmonic reconstruction of the transmission, truncated at g.trunc.
-
-    The full complex sum is evaluated and its (analytically zero)
-    imaginary part is checked before the real part is returned.
-    """
+    """Harmonic reconstruction sum_n A_n cos(n*k_d*x) of the transmission,
+    truncated at g.trunc: the Fourier series, real since A_-n = A_n."""
     ns, amps = coefficient_table(g)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    phase = np.multiply.outer(xs * g.k_d, ns)
-    total = np.exp(1j * phase) @ amps
-    assert np.all(np.abs(total.imag) < 1e-10), "harmonic sum drifted off the real axis"
-    out = total.real
-    if np.isscalar(x):
-        return float(out[0])
-    return out.reshape(np.shape(x))
+    xs = np.ravel(np.asarray(x, dtype=float))
+    return shaped_like(x, np.cos(np.multiply.outer(xs * g.k_d, ns)) @ amps)
 
 
 def render_slm_mask(g: GratingSpec, profile: SlmProfile | None = None) -> np.ndarray:
@@ -122,30 +111,3 @@ def write_pgm(path, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(image.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Load a binary (P5) PGM file written by write_pgm."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    # header = magic, width, height, maxval; '#' starts a comment
-    while len(fields) < 4:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise DomainError("not a binary PGM file")
-    w, h, maxval = (int(v) for v in fields[1:])
-    if maxval != 255:
-        raise DomainError("only 8-bit PGM is supported")
-    pos += 1  # single whitespace byte after maxval
-    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    return pixels.reshape(h, w)

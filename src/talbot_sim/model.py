@@ -197,24 +197,35 @@ def talbot_length(d: float, lam: float) -> float:
     return d * d / lam
 
 
+def shaped_like(x, values):
+    """values reshaped to the shape of x; for a 0-d x (a number or a 0-d
+    array) the one value as a Python float, complex or int.  Every public
+    function of positions, orders or distances returns through this rule.
+    """
+    values = np.asarray(values).reshape(np.shape(x))
+    return values.item() if values.ndim == 0 else values
+
+
 def effective_distance(z, z0: Optional[float] = None):
     """Reduced propagation distance z*z0/(z+z0); plain z for a plane wave.
-    z may be a float or an array of them, every entry positive."""
-    _require(bool((np.asarray(z) > 0).all()), "z must be positive")
+    z is a distance or an array-like of them, every entry positive."""
+    z = np.asarray(z, dtype=float)
+    _require(bool((z > 0).all()), "z must be positive")
     if z0 is None:
-        return z
+        return shaped_like(z, z)
     _require(z0 > 0, "z0 must be positive when given")
-    return z * z0 / (z + z0)
+    return shaped_like(z, z * z0 / (z + z0))
 
 
 def magnification(z, z0: Optional[float] = None):
     """Geometric stretch 1 + z/z0 of the pattern; 1 for a plane wave.
-    z may be a float or an array of them, every entry positive."""
-    _require(bool((np.asarray(z) > 0).all()), "z must be positive")
+    z is a distance or an array-like of them, every entry positive."""
+    z = np.asarray(z, dtype=float)
+    _require(bool((z > 0).all()), "z must be positive")
     if z0 is None:
-        return np.ones(np.shape(z)) if np.ndim(z) else 1.0
+        return shaped_like(z, np.ones_like(z))
     _require(z0 > 0, "z0 must be positive when given")
-    return 1.0 + z / z0
+    return shaped_like(z, 1.0 + z / z0)
 
 
 def beta_from_fwhm(fwhm: float) -> float:

@@ -30,7 +30,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResolutionCapError
-from .model import SCRATCH_BUDGET, GratingSpec, SourceSpec, effective_distance
+from .model import (SCRATCH_BUDGET, GratingSpec, SourceSpec,
+                    effective_distance, shaped_like)
 
 # Budget of open windows per field evaluation.  The widest aperture the
 # test suite integrates, 31.25 m at d = 360 um, opens about 1.7e5.
@@ -77,9 +78,8 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
                   z: float, max_windows: int = DEFAULT_MAX_WINDOWS):
     """Complex field at lateral position x on the plane at distance z.
 
-    x may be a scalar, which gives a complex, or an array, which gives a
-    complex array of its shape.  Raises ResolutionCapError when the
-    aperture holds more than max_windows open grating windows.
+    Raises ResolutionCapError when the aperture holds more than
+    max_windows open grating windows.
     """
     # imported here, not at module level: scipy takes longer to import than
     # every other subcommand takes to run, and only the oracle needs it
@@ -114,15 +114,11 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
         s, c = fresnel(scale * np.subtract.outer(edges, centers[i:j]))
         sums[i:j] = signs @ c - 1j * (signs @ s)
     prefactor = np.sqrt(1j / lam) / (z * scale)
-    fields = prefactor * np.exp(-1j * phase) * sums
-    if np.ndim(x) == 0:
-        return complex(fields[0])
-    return fields.reshape(np.shape(x))
+    return shaped_like(x, prefactor * np.exp(-1j * phase) * sums)
 
 
 def fresnel_intensity(xs, lam: float, source: SourceSpec, g: GratingSpec,
-                      z: float, max_windows: int = DEFAULT_MAX_WINDOWS
-                      ) -> np.ndarray:
+                      z: float, max_windows: int = DEFAULT_MAX_WINDOWS):
     """|field|^2 at each probe position (probes are independent)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return np.abs(fresnel_field(xs, lam, source, g, z, max_windows)) ** 2
+    fields = fresnel_field(xs, lam, source, g, z, max_windows)
+    return shaped_like(xs, np.abs(fields) ** 2)

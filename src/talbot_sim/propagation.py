@@ -27,7 +27,7 @@ from .grating import coefficient_table
 from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW,
                     SCRATCH_BUDGET, Carpet, DetectionSpec, GratingSpec,
                     Pattern, SourceSpec, effective_distance, magnification,
-                    spectral_grid)
+                    shaped_like, spectral_grid)
 
 # Scratch doubles per row and per FFT point: the complex chirp, spectrum
 # and product rows and their real temporaries (tracemalloc reads about 9
@@ -216,7 +216,7 @@ def _series(source: SourceSpec, grating: GratingSpec, grid, zs, x,
     [x, x + D]: harmonic q takes sin(q*a*D/2)/(q*a) (q = 0 the limit D/2)
     and its phase factor at the slit center x + D/2.  A 1-D zs gives an
     array of shape (zs.size, x.size); a scalar z gives the plane's values
-    shaped like x, a float for a scalar x.
+    in the shape of x (model.shaped_like).
     """
     xs = np.asarray(x, dtype=float)
     if slit_width is not None:
@@ -230,11 +230,7 @@ def _series(source: SourceSpec, grating: GratingSpec, grid, zs, x,
             harm[:, 0] = harm[:, 0] * slit_width / 2.0
             harm[:, 1:] = harm[:, 1:] * np.sin(qa * slit_width / 2.0) / qa
         values[rows] = _cosine_sums(harm, a, xs)
-    if np.ndim(zs):
-        return values
-    if np.isscalar(x):
-        return float(values[0, 0])
-    return values[0].reshape(np.shape(x))
+    return values if np.ndim(zs) else shaped_like(x, values[0])
 
 
 def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,

@@ -6,6 +6,7 @@ detector slit 115 um wide stepped by 12 um at z = 160 mm.
 """
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -50,6 +51,16 @@ def point_rng(seed, index):
     """Reference definition of scan point index's count stream: a Philox
     keyed by the seed, jumped index times (counter offset index * 2**128)."""
     return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+
+def read_pgm(path):
+    """The image in a PGM file as write_pgm writes it: exactly the header
+    P5\\n{w} {h}\\n255\\n, then h rows of w bytes."""
+    raw = Path(path).read_bytes()
+    _, size, _, pixels = raw.split(b"\n", 3)
+    w, h = (int(v) for v in size.split(b" "))
+    assert raw.startswith(f"P5\n{w} {h}\n255\n".encode("ascii"))
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
 
 
 def mp_fresnel_field(x, lam, source, g, z, dps=30):

@@ -20,9 +20,9 @@ from talbot_sim import (DetectionSpec, GratingSpec, SourceSpec,
                         render_slm_mask, revival_distance, scan,
                         simulate_scan, talbot_length, truncated_transmission,
                         visibility, write_pgm)
-from talbot_sim.grating import coefficient_table, read_pgm
+from talbot_sim.grating import coefficient_table
 
-from helpers import D, LAMBDA0, TALBOT, Z0, mp_fresnel_field
+from helpers import D, LAMBDA0, TALBOT, Z0, mp_fresnel_field, read_pgm
 
 CFG = build_config()  # the reference configuration all criteria start from
 

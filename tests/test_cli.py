@@ -13,7 +13,8 @@ import pytest
 import talbot_sim
 from talbot_sim.cli import build_parser, main
 from talbot_sim.config import CONFIG_KEYS
-from talbot_sim.grating import read_pgm
+
+from helpers import read_pgm
 
 # quick settings shared by most invocations: modest truncation and a
 # plane wave keep each command well under a second

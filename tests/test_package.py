@@ -1,4 +1,4 @@
-"""Static checks on the package's imports, read with the ast module."""
+"""Static checks on the package's source, read with the ast module."""
 
 import ast
 from pathlib import Path
@@ -59,3 +59,20 @@ def test_module_uses_every_name_it_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert unused == {}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_leaves_scalar_results_to_shaped_like(path):
+    # model.shaped_like is the one place that decides when a function of
+    # positions returns a scalar
+    calls = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "isscalar"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
+    # library checks raise DomainError; an assert vanishes under python -O
+    asserts = [node.lineno for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

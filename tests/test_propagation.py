@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
                         effective_distance, fresnel_intensity, intensity,
                         magnification, polychromatic_rate, revival_distance,
-                        scan, truncated_transmission, visibility)
+                        scan, talbot_length, truncated_transmission,
+                        visibility)
 from talbot_sim import propagation
 from talbot_sim.grating import coefficient_table
 from talbot_sim.propagation import (_cosine_sums, _direct_cosine_sums,
@@ -60,6 +61,56 @@ def test_point_source_image_is_magnified_plane_image():
     vals = intensity(xs, LAMBDA0, point_source(), g, z)
     want = intensity(xs / mag, LAMBDA0, plane_source(), g, TALBOT)
     assert vals == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.floats(0.02, 1.0), trunc=st.integers(0, 400),
+       m=st.sampled_from([1, 2]), z0=st.sampled_from([None, Z0, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_whole_talbot_planes_image_the_grating(f, trunc, m, z0, seed):
+    # at z_eff = m*d**2/lam the chirp exp(i*n**2*b) is (-1)**(n*m), so the
+    # pattern is the squared truncated transmission, magnified, and
+    # shifted half a period for odd m (Berry & Klein 1996); on an evenly
+    # spaced grid and on random positions
+    src = plane_source(z0=z0)
+    g = GratingSpec(d=D, f=f, trunc=trunc)
+    zeff = m * talbot_length(D, LAMBDA0)
+    z = zeff if z0 is None else zeff * z0 / (z0 - zeff)
+    mag = magnification(z, z0)
+    shift = D / 2 * (m % 2)
+    # at small f few random probes land in the narrow open window, so the
+    # peak is taken at its centre, not over the probes
+    peak = truncated_transmission(0.0, g) ** 2
+    rng = np.random.default_rng(seed)
+    for xs in (np.linspace(-D, D, 129), rng.uniform(-D, D, 40)):
+        want = truncated_transmission(xs + shift, g) ** 2
+        got = intensity(xs * mag, LAMBDA0, src, g, z)
+        assert np.max(np.abs(got - want)) <= 1e-11 * peak
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.floats(0.02, 1.0), trunc=st.integers(0, 400),
+       fwhm=st.floats(0.0, 40e-9), z=st.floats(0.01, 0.4),
+       z0=st.sampled_from([None, Z0, 0.5]), width=st.floats(5e-6, 400e-6),
+       start=st.floats(-2 * D, 2 * D), step=st.floats(1e-7, 2e-5),
+       even=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_patterns_are_mirror_symmetric(f, trunc, fwhm, z, z0, width, start,
+                                       step, even, seed):
+    # the grating is even in x, and so is its intensity; the slit over
+    # [x, x + D] sees the mirror image of the slit over [-x - D, -x]
+    src = plane_source(z0=z0, beta=beta_from_fwhm(fwhm))
+    g = GratingSpec(d=D, f=f, trunc=trunc)
+    det = baseline_detection(z=z, slit_width=width)
+    if even:
+        xs = start + step * np.arange(101)
+    else:
+        xs = np.random.default_rng(seed).uniform(-2 * D, 2 * D, 40)
+    lit = intensity(xs, LAMBDA0, src, g, z)
+    mirrored = intensity(-xs, LAMBDA0, src, g, z)
+    assert np.max(np.abs(mirrored - lit)) <= 1e-12 * np.max(lit)
+    rate = polychromatic_rate(xs, src, g, det)
+    mirrored = polychromatic_rate(-xs - width, src, g, det)
+    assert np.max(np.abs(mirrored - rate)) <= 1e-12 * np.max(rate)
 
 
 @pytest.mark.parametrize("z0, z", [(None, 0.12), (Z0, 0.174), (0.5, 0.095)])
