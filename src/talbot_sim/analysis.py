@@ -68,7 +68,14 @@ def fringe_width_fraction(pattern: Pattern, period: float) -> float:
     return float(np.mean(widths)) / period
 
 
-def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
+def _reference(grating: GratingSpec):
+    """The grating profile's harmonics R_q and its norm _structure(R)."""
+    ref = _harmonics(grating, 0.0)
+    return ref, float(_structure(ref))
+
+
+def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec,
+                    reference=None):
     """Return scores(zs): for each distance in zs, the best normalized
     cross-correlation between the pattern there and the squared grating
     profile, over all lateral shifts within a period.
@@ -83,10 +90,10 @@ def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec):
     phi = 1/2 is on the grid, and above 4*trunc, so harmonic 2*trunc is
     below its Nyquist bin.  A plane or profile whose standard deviation
     sqrt(2*sum C_q^2) is at rounding level against its mean C_0 scores 0.
+    reference is _reference(grating), for a caller that has it already.
     """
     size = max(_MIN_ROW_POINTS, 2 * _fast_length(2 * grating.trunc + 1))
-    ref = _harmonics(grating, 0.0)
-    ref_norm = float(_structure(ref))
+    ref, ref_norm = reference or _reference(grating)
 
     def scores(zs) -> np.ndarray:
         out = np.zeros(len(zs))
@@ -139,7 +146,8 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
     search_grating = grating
     if grating.trunc > _SEARCH_TRUNC:
         search_grating = dataclasses.replace(grating, trunc=_SEARCH_TRUNC)
-    if _structure(_harmonics(search_grating, 0.0)) == 0.0:
+    ref, ref_norm = _reference(search_grating)
+    if ref_norm == 0.0:
         raise DomainError("no revival found: grating profile is flat")
 
     # z(m) rises with m; rounding may put z_lo's own m one off its ceiling
@@ -156,7 +164,7 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
     if z_lo <= z <= z_hi:
         return z
 
-    scores = _revival_scorer(lam, source, search_grating)
+    scores = _revival_scorer(lam, source, search_grating, (ref, ref_norm))
     zs = np.linspace(z_lo, z_hi, steps)
     coarse = scores(zs)
     if coarse.max() - coarse.min() < 1e-6:

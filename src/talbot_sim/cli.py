@@ -21,8 +21,7 @@ from .csvio import (write_carpet_csv, write_mc_csv, write_oracle_csv,
                     write_scan_csv)
 from .errors import ConfigError, DomainError, ResolutionCapError
 from .grating import SlmProfile, render_slm_mask, write_pgm
-from .model import (NORM_COLUMN_MAX_ONE, NORM_RAW, SPECTRAL_SAMPLES,
-                    SPECTRAL_SPAN, spectral_grid, talbot_length)
+from .model import NORM_COLUMN_MAX_ONE, NORM_RAW, talbot_length
 from .montecarlo import RNG_ID, simulate_scan
 from .oracle import DEFAULT_MAX_WINDOWS, fresnel_intensity
 from .propagation import carpet, intensity, scan
@@ -53,15 +52,6 @@ def _add_common(sub: argparse.ArgumentParser, default_out=None) -> None:
     for key in CONFIG_KEYS:
         sub.add_argument("--" + key.replace("_", "-"), dest="key_" + key,
                          metavar="VALUE", help=KEY_HELP[key])
-
-
-def _add_spectral(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--spectral-samples", type=int, default=SPECTRAL_SAMPLES,
-                     metavar="N", help="odd number of wavelength nodes "
-                                       "(default %(default)s)")
-    sub.add_argument("--spectral-span", type=float, default=SPECTRAL_SPAN,
-                     metavar="S", help="wavelength grid half-span in units "
-                                       "of beta (default %(default)s)")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -111,22 +101,16 @@ def _window(args: argparse.Namespace, cfg: RunConfig):
             parse_length(args.x_max) if args.x_max else cfg.d)
 
 
-def _spectral_comments(args: argparse.Namespace) -> list[str]:
-    return [f"# spectral-samples: {args.spectral_samples}",
-            f"# spectral-span: {fmt_exact(args.spectral_span)}"]
-
-
-def _scan_curve(args: argparse.Namespace, cfg: RunConfig):
-    """scan() of cfg over the spectrum set by _add_spectral's flags."""
-    source = cfg.source()
-    grid = spectral_grid(source, args.spectral_samples, args.spectral_span)
-    return scan(source, cfg.grating(), cfg.detection(), grid=grid)
+def _scan_curve(cfg: RunConfig):
+    """scan() of cfg over its spectrum."""
+    return scan(cfg.source(), cfg.grating(), cfg.detection(),
+                grid=cfg.spectrum())
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    pattern = _scan_curve(args, cfg)
-    comments = echo_lines(cfg) + _spectral_comments(args) + [
+    pattern = _scan_curve(cfg)
+    comments = echo_lines(cfg) + [
         f"# magnification: {fmt_exact(pattern.meta['magnification'])}",
         f"# abscissa: {pattern.meta['abscissa']}",
     ]
@@ -164,13 +148,13 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    pattern = simulate_scan(_scan_curve(args, cfg), args.seed,
+    pattern = simulate_scan(_scan_curve(cfg), args.seed,
                             args.events_per_point)
     comments = echo_lines(cfg) + [
         f"# seed: {args.seed}",
         f"# rng: {RNG_ID}",
         f"# events-per-point: {fmt_exact(args.events_per_point)}",
-    ] + _spectral_comments(args)
+    ]
     write_mc_csv(args.out, pattern, comments)
     return EXIT_OK
 
@@ -191,13 +175,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    pattern = _scan_curve(args, cfg)
+    pattern = _scan_curve(cfg)
     period = cfg.d * pattern.meta["magnification"]
     z_lo = parse_length(args.z_lo) if args.z_lo else 0.8 * cfg.z
     z_hi = parse_length(args.z_hi) if args.z_hi else 1.3 * cfg.z
     revival = revival_distance(cfg.source(), cfg.grating(), cfg.lambda0,
                                z_lo, z_hi, steps=args.z_steps)
     lines = echo_lines(cfg) + [
+        f"# z-lo: {fmt_exact(z_lo)}",
+        f"# z-hi: {fmt_exact(z_hi)}",
+        f"# z-steps: {args.z_steps}",
         f"visibility = {fmt(visibility(pattern))}",
         f"fringe_fraction = {fmt(fringe_width_fraction(pattern, period))}",
         f"revival_mm = {fmt(revival * 1e3)}",
@@ -208,11 +195,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report)
     return EXIT_OK
-
-
-def _scan_args(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, "scan.csv")
-    _add_spectral(sub)
 
 
 def _carpet_args(sub: argparse.ArgumentParser) -> None:
@@ -255,7 +237,6 @@ def _mask_args(sub: argparse.ArgumentParser) -> None:
 
 def _mc_args(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, "mc.csv")
-    _add_spectral(sub)
     sub.add_argument("--seed", type=int, required=True, metavar="U64",
                      help="RNG seed; identical seeds give identical files")
     sub.add_argument("--events-per-point", type=float, default=1000.0,
@@ -277,7 +258,6 @@ def _oracle_args(sub: argparse.ArgumentParser) -> None:
 
 def _analyze_args(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
-    _add_spectral(sub)
     sub.add_argument("--z-lo", metavar="VALUE",
                      help="revival search start (default: 0.8*z)")
     sub.add_argument("--z-hi", metavar="VALUE",
@@ -289,7 +269,8 @@ def _analyze_args(sub: argparse.ArgumentParser) -> None:
 
 # name -> (help line, argument builder, handler), in --help order
 _COMMANDS = {
-    "scan": ("slit-scan count-rate curve as CSV", _scan_args, cmd_scan),
+    "scan": ("slit-scan count-rate curve as CSV",
+             lambda sub: _add_common(sub, "scan.csv"), cmd_scan),
     "carpet": ("monochromatic intensity raster as CSV", _carpet_args,
                cmd_carpet),
     "mask": ("binary grating mask as a P5 PGM image", _mask_args, cmd_mask),

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .errors import ConfigError
-from .model import DetectionSpec, GratingSpec, SourceSpec, beta_from_fwhm
+from .model import (SPECTRAL_SAMPLES, SPECTRAL_SPAN, DetectionSpec,
+                    GratingSpec, SourceSpec, beta_from_fwhm, spectral_grid)
 from .units import fmt_exact, parse_float, parse_int, parse_length
 
 
@@ -29,17 +30,22 @@ def _key(default, parse, help_line: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The twelve run parameters, before spec-level validation.
+    """The fourteen run parameters, before spec-level validation.
 
-    The built-in baseline: 810 nm center with a 50 nm filter, source about
-    1.99 m upstream, 360 um period with a 10% opening, detection 160 mm
-    downstream through a 115 um slit scanned over +-600 um in 12 um steps.
+    The built-in baseline: 810 nm center with a 50 nm filter on 41
+    wavelengths over +-3 half-widths, source about 1.99 m upstream, 360 um
+    period with a 10% opening, detection 160 mm downstream through a 115 um
+    slit scanned over +-600 um in 12 um steps.
     """
 
     lambda0: float = _key(810e-9, parse_length,
                           "center wavelength (length, e.g. 810nm)")
     fwhm: float = _key(50e-9, parse_length,
                        "spectral filter FWHM (length; 0 = monochromatic)")
+    spectral_samples: int = _key(SPECTRAL_SAMPLES, parse_int,
+                                 "odd number of wavelength nodes")
+    spectral_span: float = _key(SPECTRAL_SPAN, parse_float,
+                                "wavelength grid half-span in units of beta")
     z0: Optional[float] = _key(
         1.9885714285714284, _or("none", parse_length),
         "source-to-grating distance (length, or 'none' for a plane wave)")
@@ -66,6 +72,10 @@ class RunConfig:
         return SourceSpec(lambda0=self.lambda0,
                           beta=beta_from_fwhm(self.fwhm),
                           z0=self.z0, delta=self.delta)
+
+    def spectrum(self) -> list[tuple[float, float]]:
+        return spectral_grid(self.source(), self.spectral_samples,
+                             self.spectral_span)
 
     def grating(self) -> GratingSpec:
         return GratingSpec(d=self.d, f=self.f, trunc=self.trunc)
@@ -129,8 +139,8 @@ def build_config(file_values: Optional[dict] = None,
 def _echo_value(value) -> str:
     if value is None:  # only z0: echo_lines resolves delta and trunc
         return "none"
-    # trunc echoes as an integer and lengths in bare meters, which parse
-    # back bit-identically
+    # counts echo as integers and other numbers as their shortest repr
+    # (lengths in bare meters), which parse back bit-identically
     return str(value) if isinstance(value, int) else fmt_exact(value)
 
 

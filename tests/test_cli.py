@@ -28,7 +28,7 @@ def _data_lines(path):
 
 def _echoed_config(path):
     # config echo lines look like '# key = value'; later comment lines
-    # (spectral samples, magnification, ...) use '# name: value'
+    # (magnification, seed, ...) use '# name: value'
     out = []
     for ln in path.read_text(encoding="utf-8").splitlines():
         if not ln.startswith("# ") or "=" not in ln:
@@ -51,14 +51,21 @@ def test_scan_writes_csv(tmp_path):
     assert max(float(r.split(",")[2]) for r in rows[1:]) == 1.0
 
 
-def test_scan_round_trips_through_its_own_echo(tmp_path):
+@pytest.mark.parametrize("command, extra", [("scan", []),
+                                            ("mc", ["--seed", "7"]),
+                                            ("analyze", [])],
+                         ids=["scan", "mc", "analyze"])
+def test_scan_round_trips_through_its_own_echo(tmp_path, command, extra):
     first = tmp_path / "first.csv"
-    assert main(["scan", "--out", str(first), "--f", "0.35",
-                 "--scan-start=-300um", "--lambda0", "805nm"] + FAST) == 0
+    assert main([command, "--out", str(first), "--f", "0.35",
+                 "--scan-start=-300um", "--lambda0", "805nm",
+                 "--spectral-samples", "11", "--spectral-span", "2.5"]
+                + extra + FAST) == 0
     cfg = tmp_path / "echo.cfg"
     cfg.write_text(_echoed_config(first), encoding="utf-8")
     second = tmp_path / "second.csv"
-    assert main(["scan", "--out", str(second), "--config", str(cfg)]) == 0
+    assert main([command, "--out", str(second), "--config", str(cfg)]
+                + extra) == 0
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -78,6 +85,22 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
                  ["oracle", "--config", str(huge)]):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "out of range" in capsys.readouterr().err
+    # the spectral quadrature keys, from a flag and from a config file: a
+    # bad number is a config problem, an even node count a domain problem
+    spectral = tmp_path / "spectral.cfg"
+    for key, text, code, fragment in (
+            ("spectral_samples", "1.5", 2, "expected an integer"),
+            ("spectral_span", "1e400", 2, "out of range"),
+            ("spectral_samples", "2", 3, "samples must be odd")):
+        spectral.write_text(f"f = 0.1\n{key} = {text}\n", encoding="utf-8")
+        for argv in (["--" + key.replace("_", "-"), text],
+                     ["--config", str(spectral)]):
+            assert main(["scan", *argv,
+                         "--out", str(tmp_path / "x.csv")]) == code
+            err = capsys.readouterr().err
+            assert fragment in err
+            if code == 2 and argv[0] == "--config":
+                assert f"{spectral}:2:" in err
 
 
 def test_exit_code_for_domain_problems(tmp_path, capsys):
@@ -328,6 +351,21 @@ def test_analyze_report(tmp_path, capsys):
     assert set(report) == {"visibility", "fringe_fraction", "revival_mm"}
     assert 0.0 < float(report["visibility"]) <= 1.0
     assert float(report["revival_mm"]) == pytest.approx(160.0, abs=0.5)
+
+
+@pytest.mark.parametrize("flags, window", [
+    ([], (0.8 * 0.16, 1.3 * 0.16, 64)),
+    (["--z-lo", "155mm", "--z-hi", "165mm", "--z-steps", "16"],
+     (0.155, 0.165, 16)),
+], ids=["defaults", "flags"])
+def test_analyze_report_names_its_revival_window(capsys, flags, window):
+    # the resolved search window follows the config echo
+    assert main(["analyze", "--scan-step", "24um"] + flags + FAST) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names, values = zip(*(ln[2:].split(": ")
+                          for ln in lines[len(CONFIG_KEYS):][:3]))
+    assert names == ("z-lo", "z-hi", "z-steps")
+    assert (float(values[0]), float(values[1]), int(values[2])) == window
 
 
 def test_help_lists_every_config_key(capsys):

@@ -136,6 +136,8 @@ def _valid_values(draw):
     return {
         "lambda0": draw(_LENGTHS),
         "fwhm": draw(st.just(0.0) | _LENGTHS),
+        "spectral_samples": draw(st.integers(0, 100).map(lambda n: 2 * n + 1)),
+        "spectral_span": draw(st.floats(0.0, 10.0, exclude_min=True)),
         "z0": draw(st.none() | _LENGTHS),
         "delta": draw(st.none() | _LENGTHS),
         "d": draw(_LENGTHS),
@@ -164,6 +166,7 @@ def test_echo_lines_round_trip(overrides):
     assert back.source() == cfg.source()
     assert back.grating() == cfg.grating()
     assert back.detection() == cfg.detection()
+    assert back.spectrum() == cfg.spectrum()
     assert echo_lines(back) == lines
 
 
