@@ -38,9 +38,10 @@ _UNITS_EPILOG = ("lengths accept nm, um, mm and m suffixes; a bare number "
                  "keys, which override the built-in baseline.")
 
 
-def _add_common(sub: argparse.ArgumentParser, default_out=None) -> None:
+def _add_common(sub: argparse.ArgumentParser, keys, default_out) -> None:
     sub.add_argument("--config", metavar="PATH",
-                     help="config file with 'key = value' lines")
+                     help="config file with 'key = value' lines; keys this "
+                          "subcommand does not read are ignored")
     out_help = (f"output file (default: {default_out})" if default_out
                 else "optional file to also receive the report")
     sub.add_argument("--out", metavar="PATH", default=default_out,
@@ -49,23 +50,20 @@ def _add_common(sub: argparse.ArgumentParser, default_out=None) -> None:
                      help="thread count, checked to be >= 1 (default 1); "
                           "the computation runs on one thread and does not "
                           "depend on it")
-    for key in CONFIG_KEYS:
+    for key in keys:
         sub.add_argument("--" + key.replace("_", "-"), dest="key_" + key,
                          metavar="VALUE", help=KEY_HELP[key])
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in CONFIG_KEYS:
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """args.keys from the flags, else the --config file, else the baseline."""
+    values = read_config_file(args.config) if args.config else {}
+    values = {key: values[key] for key in args.keys if key in values}
+    for key in args.keys:
         text = getattr(args, "key_" + key)
         if text is not None:
-            out[key] = parse_value(key, text)
-    return out
-
-
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    file_values = read_config_file(args.config) if args.config else None
-    return build_config(file_values, _overrides(args))
+            values[key] = parse_value(key, text)
+    return build_config(values)
 
 
 def _positive_int(text: str) -> int:
@@ -87,17 +85,15 @@ def _check_threads(args: argparse.Namespace) -> None:
 
 
 def _add_window(sub: argparse.ArgumentParser, *helps: str) -> None:
-    """--wavelength, --x-min and --x-max, which _window reads."""
-    for flag, text, default in zip(("--wavelength", "--x-min", "--x-max"),
-                                   helps, ("lambda0", "-d", "d")):
+    """--x-min and --x-max, which _window reads."""
+    for flag, text, default in zip(("--x-min", "--x-max"), helps, ("-d", "d")):
         sub.add_argument(flag, metavar="VALUE",
                          help=f"{text} (default: {default})")
 
 
 def _window(args: argparse.Namespace, cfg: RunConfig):
-    """The wavelength and the x edges set by _add_window's flags."""
-    return (parse_length(args.wavelength) if args.wavelength else cfg.lambda0,
-            parse_length(args.x_min) if args.x_min else -cfg.d,
+    """The x edges set by _add_window's flags."""
+    return (parse_length(args.x_min) if args.x_min else -cfg.d,
             parse_length(args.x_max) if args.x_max else cfg.d)
 
 
@@ -110,7 +106,7 @@ def _scan_curve(cfg: RunConfig):
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     pattern = _scan_curve(cfg)
-    comments = echo_lines(cfg) + [
+    comments = echo_lines(cfg, args.keys) + [
         f"# magnification: {fmt_exact(pattern.meta['magnification'])}",
         f"# abscissa: {pattern.meta['abscissa']}",
     ]
@@ -120,18 +116,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_carpet(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    lam, x_lo, x_hi = _window(args, cfg)
-    lt = talbot_length(cfg.d, lam)
+    lt = talbot_length(cfg.d, cfg.lambda0)
     z_lo = parse_length(args.z_min) if args.z_min else lt / 50.0
     z_hi = parse_length(args.z_max) if args.z_max else 2.0 * lt
     carp = carpet(cfg.source(), cfg.grating(),
-                  np.linspace(x_lo, x_hi, args.x_count),
-                  np.linspace(z_lo, z_hi, args.z_count),
-                  lam=lam, norm=args.norm)
-    comments = echo_lines(cfg) + [
-        f"# wavelength: {fmt_exact(lam)}",
-        f"# norm: {args.norm}",
-    ]
+                  np.linspace(*_window(args, cfg), args.x_count),
+                  np.linspace(z_lo, z_hi, args.z_count), norm=args.norm)
+    comments = echo_lines(cfg, args.keys) + [f"# norm: {args.norm}"]
     write_carpet_csv(args.out, carp, comments)
     return EXIT_OK
 
@@ -150,7 +141,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     pattern = simulate_scan(_scan_curve(cfg), args.seed,
                             args.events_per_point)
-    comments = echo_lines(cfg) + [
+    comments = echo_lines(cfg, args.keys) + [
         f"# seed: {args.seed}",
         f"# rng: {RNG_ID}",
         f"# events-per-point: {fmt_exact(args.events_per_point)}",
@@ -162,13 +153,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     source, grating = cfg.source(), cfg.grating()
-    lam, x_lo, x_hi = _window(args, cfg)
-    xs = np.linspace(x_lo, x_hi, args.points)
-    analytic = intensity(xs, lam, source, grating, cfg.z)
-    numeric = fresnel_intensity(xs, lam, source, grating, cfg.z,
+    xs = np.linspace(*_window(args, cfg), args.points)
+    analytic = intensity(xs, cfg.lambda0, source, grating, cfg.z)
+    numeric = fresnel_intensity(xs, cfg.lambda0, source, grating, cfg.z,
                                 max_windows=args.max_steps)
-    comments = echo_lines(cfg) + [f"# wavelength: {fmt_exact(lam)}"]
-    max_err = write_oracle_csv(args.out, xs, analytic, numeric, comments)
+    max_err = write_oracle_csv(args.out, xs, analytic, numeric,
+                               echo_lines(cfg, args.keys))
     print(f"max_rel_err={fmt(max_err)}")
     return EXIT_OK
 
@@ -181,7 +171,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     z_hi = parse_length(args.z_hi) if args.z_hi else 1.3 * cfg.z
     revival = revival_distance(cfg.source(), cfg.grating(), cfg.lambda0,
                                z_lo, z_hi, steps=args.z_steps)
-    lines = echo_lines(cfg) + [
+    lines = echo_lines(cfg, args.keys) + [
         f"# z-lo: {fmt_exact(z_lo)}",
         f"# z-hi: {fmt_exact(z_hi)}",
         f"# z-steps: {args.z_steps}",
@@ -198,15 +188,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _carpet_args(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, "carpet.csv")
-    _add_window(sub, "carpet wavelength", "left edge of the x raster",
+    _add_window(sub, "left edge of the x raster",
                 "right edge of the x raster")
     sub.add_argument("--x-count", type=_positive_int, default=256,
                      metavar="N", help="x samples (default 256)")
     sub.add_argument("--z-min", metavar="VALUE",
-                     help="nearest plane (default: d*d/lambda/50)")
+                     help="nearest plane (default: d*d/lambda0/50)")
     sub.add_argument("--z-max", metavar="VALUE",
-                     help="farthest plane (default: 2*d*d/lambda)")
+                     help="farthest plane (default: 2*d*d/lambda0)")
     sub.add_argument("--z-count", type=_positive_int, default=128,
                      metavar="N", help="z samples (default 128)")
     sub.add_argument("--norm", default=NORM_RAW,
@@ -215,7 +204,6 @@ def _carpet_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _mask_args(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, "mask.pgm")
     sub.add_argument("--width-px", type=int, default=SlmProfile.width_px,
                      metavar="N", help="mask width in pixels "
                                        "(default %(default)s)")
@@ -236,7 +224,6 @@ def _mask_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _mc_args(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, "mc.csv")
     sub.add_argument("--seed", type=int, required=True, metavar="U64",
                      help="RNG seed; identical seeds give identical files")
     sub.add_argument("--events-per-point", type=float, default=1000.0,
@@ -245,9 +232,7 @@ def _mc_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _oracle_args(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, "oracle.csv")
-    _add_window(sub, "probe wavelength", "first probe position",
-                "last probe position")
+    _add_window(sub, "first probe position", "last probe position")
     sub.add_argument("--points", type=_positive_int, default=129,
                      metavar="N", help="probe positions (default 129)")
     sub.add_argument("--max-steps", type=_positive_int,
@@ -257,7 +242,6 @@ def _oracle_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _analyze_args(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub)
     sub.add_argument("--z-lo", metavar="VALUE",
                      help="revival search start (default: 0.8*z)")
     sub.add_argument("--z-hi", metavar="VALUE",
@@ -267,18 +251,23 @@ def _analyze_args(sub: argparse.ArgumentParser) -> None:
                      help="revival search grid size (default %(default)s)")
 
 
-# name -> (help line, argument builder, handler), in --help order
+# name -> (help line, config keys it reads, default --out, builder of its
+# own arguments, handler), in --help order
 _COMMANDS = {
-    "scan": ("slit-scan count-rate curve as CSV",
-             lambda sub: _add_common(sub, "scan.csv"), cmd_scan),
-    "carpet": ("monochromatic intensity raster as CSV", _carpet_args,
-               cmd_carpet),
-    "mask": ("binary grating mask as a P5 PGM image", _mask_args, cmd_mask),
-    "mc": ("seeded photon-count simulation as CSV", _mc_args, cmd_mc),
+    "scan": ("slit-scan count-rate curve as CSV", CONFIG_KEYS, "scan.csv",
+             None, cmd_scan),
+    "carpet": ("monochromatic intensity raster as CSV",
+               ("lambda0", "z0", "d", "f", "trunc"), "carpet.csv",
+               _carpet_args, cmd_carpet),
+    "mask": ("binary grating mask as a P5 PGM image", ("d", "f"), "mask.pgm",
+             _mask_args, cmd_mask),
+    "mc": ("seeded photon-count simulation as CSV", CONFIG_KEYS, "mc.csv",
+           _mc_args, cmd_mc),
     "oracle": ("analytic intensity vs direct Fresnel integral, side by side",
-               _oracle_args, cmd_oracle),
+               ("lambda0", "z0", "delta", "d", "f", "trunc", "z"),
+               "oracle.csv", _oracle_args, cmd_oracle),
     "analyze": ("visibility, fringe width fraction and revival distance",
-                _analyze_args, cmd_analyze),
+                CONFIG_KEYS, None, _analyze_args, cmd_analyze),
 }
 
 
@@ -294,10 +283,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  prog="talbot-sim")
     for name in [command] if command else _COMMANDS:
-        help_line, add_args, handler = _COMMANDS[name]
+        help_line, keys, default_out, add_args, handler = _COMMANDS[name]
         sub = subs.add_parser(name, epilog=_UNITS_EPILOG, help=help_line)
-        add_args(sub)
-        sub.set_defaults(func=handler)
+        _add_common(sub, keys, default_out)
+        if add_args:
+            add_args(sub)
+        sub.set_defaults(func=handler, keys=keys)
     return parser
 
 

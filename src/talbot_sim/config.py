@@ -144,14 +144,15 @@ def _echo_value(value) -> str:
     return str(value) if isinstance(value, int) else fmt_exact(value)
 
 
-def echo_lines(config: RunConfig) -> list[str]:
-    """Render the fully resolved config as '# key = value' comment lines.
+def echo_lines(config: RunConfig, keys=CONFIG_KEYS) -> list[str]:
+    """Render the fully resolved values of keys as '# key = value' comment
+    lines, in the order of keys.
 
     Derived fields (delta, trunc) are echoed as their resolved values,
-    so feeding the echo back as a config file reproduces the run
-    exactly, bit for bit.
+    so feeding the echo back as a config file reproduces a run that
+    reads only keys exactly, bit for bit.
     """
     resolved = replace(config, delta=config.source().delta,
                        trunc=config.grating().trunc)
     return [f"# {key} = {_echo_value(getattr(resolved, key))}"
-            for key in CONFIG_KEYS]
+            for key in keys]

@@ -123,9 +123,14 @@ class DetectionSpec:
     def positions(self) -> np.ndarray:
         """Slit positions scan_start, scan_start+step, ... up to scan_end."""
         span = self.scan_end - self.scan_start
-        # the +eps absorbs representation error when span/step is integral
-        n = int(math.floor(span / self.scan_step * (1.0 + 1e-12))) + 1
-        return self.scan_start + self.scan_step * np.arange(n)
+        try:  # numpy refuses a count too large for one array
+            # the +eps absorbs representation error when span/step is integral
+            steps = np.arange(
+                int(math.floor(span / self.scan_step * (1.0 + 1e-12))) + 1)
+        except (OverflowError, ValueError):
+            raise DomainError("scan has more positions than an array can "
+                              "hold") from None
+        return self.scan_start + self.scan_step * steps
 
 
 @dataclass(frozen=True)

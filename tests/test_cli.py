@@ -51,16 +51,26 @@ def test_scan_writes_csv(tmp_path):
     assert max(float(r.split(",")[2]) for r in rows[1:]) == 1.0
 
 
-@pytest.mark.parametrize("command, extra", [("scan", []),
-                                            ("mc", ["--seed", "7"]),
-                                            ("analyze", [])],
-                         ids=["scan", "mc", "analyze"])
-def test_scan_round_trips_through_its_own_echo(tmp_path, command, extra):
+# non-default keys for the scan, mc and analyze runs below
+_SCAN_KEYS = ["--f", "0.35", "--scan-start=-300um", "--lambda0", "805nm",
+              "--spectral-samples", "11", "--spectral-span", "2.5"] + FAST
+# carpet and oracle leave their window flags at the defaults, which
+# follow lambda0 and d
+_FIELD_KEYS = ["--lambda0", "700nm", "--f", "0.35", "--z0", "1.5m",
+               "--trunc", "25"]
+
+
+@pytest.mark.parametrize("command, keys, extra", [
+    ("scan", _SCAN_KEYS, []),
+    ("mc", _SCAN_KEYS, ["--seed", "7"]),
+    ("analyze", _SCAN_KEYS, []),
+    ("carpet", _FIELD_KEYS, ["--x-count", "16", "--z-count", "8"]),
+    ("oracle", _FIELD_KEYS, ["--points", "9"]),
+], ids=["scan", "mc", "analyze", "carpet", "oracle"])
+def test_scan_round_trips_through_its_own_echo(tmp_path, command, keys,
+                                               extra):
     first = tmp_path / "first.csv"
-    assert main([command, "--out", str(first), "--f", "0.35",
-                 "--scan-start=-300um", "--lambda0", "805nm",
-                 "--spectral-samples", "11", "--spectral-span", "2.5"]
-                + extra + FAST) == 0
+    assert main([command, "--out", str(first)] + keys + extra) == 0
     cfg = tmp_path / "echo.cfg"
     cfg.write_text(_echoed_config(first), encoding="utf-8")
     second = tmp_path / "second.csv"
@@ -104,8 +114,13 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
 
 
 def test_exit_code_for_domain_problems(tmp_path, capsys):
-    assert main(["scan", "--f", "0", "--out", str(tmp_path / "x.csv")]) == 3
-    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    # numpy refuses the second scan's position count before allocating
+    for flags in (["--f", "0"], ["--scan-start=1e300", "--scan-end=1e301"]):
+        assert main(["scan", "--out", str(out)] + flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_mc_rejects_dwell_beyond_poisson_sampler(tmp_path, capsys):
@@ -135,7 +150,7 @@ def test_exit_code_for_unwritable_output(tmp_path, capsys):
 QUICK = {
     "scan": ["scan"] + FAST,
     "carpet": ["carpet", "--x-count", "8", "--z-count", "4"] + FAST,
-    "mask": ["mask", "--width-px", "64", "--height-px", "8"] + FAST,
+    "mask": ["mask", "--width-px", "64", "--height-px", "8"],
     "mc": ["mc", "--seed", "7", "--events-per-point", "200"] + FAST,
     "oracle": ["oracle", "--points", "5"] + FAST,
     "analyze": ["analyze", "--scan-step", "24um", "--z-lo", "155mm",
@@ -181,7 +196,7 @@ def test_only_oracle_imports_scipy(tmp_path):
 @pytest.mark.parametrize("command", list(QUICK))
 def test_single_subcommand_parser_matches_full(tmp_path, command):
     argv = QUICK[command] + ["--out", str(tmp_path / "x"), "--threads", "2",
-                             "--scan-start=-300um"]
+                             "--f", "0.3"]
     assert (build_parser(command).parse_args(argv)
             == build_parser().parse_args(argv))
 
@@ -314,9 +329,9 @@ def test_oracle_reports_max_error(tmp_path, capsys):
 
 
 def _window_read(path, command):
-    """The wavelength comment and the first and last x of a carpet or
-    oracle CSV."""
-    lam = re.search(r"^# wavelength: (.*)$",
+    """The echoed lambda0 and the first and last x of a carpet or oracle
+    CSV."""
+    lam = re.search(r"^# lambda0 = (.*)$",
                     path.read_text(encoding="utf-8"), re.M).group(1)
     rows = _data_lines(path)
     if command == "carpet":
@@ -332,7 +347,7 @@ def test_window_flags_and_their_defaults(tmp_path, command):
     assert main(QUICK[command] + ["--out", str(out)]) == 0
     assert _window_read(out, command) == pytest.approx(
         (810e-9, -360e-6, 360e-6), rel=1e-12)
-    assert main(QUICK[command] + ["--wavelength", "700nm", "--x-min=-100um",
+    assert main(QUICK[command] + ["--lambda0", "700nm", "--x-min=-100um",
                                   "--x-max", "200um", "--out", str(out)]) == 0
     assert _window_read(out, command) == pytest.approx(
         (700e-9, -100e-6, 200e-6), rel=1e-12)
@@ -368,11 +383,64 @@ def test_analyze_report_names_its_revival_window(capsys, flags, window):
     assert (float(values[0]), float(values[1]), int(values[2])) == window
 
 
-def test_help_lists_every_config_key(capsys):
-    for command in ("scan", "carpet", "mask", "mc", "oracle", "analyze"):
-        with pytest.raises(SystemExit) as err:
-            main([command, "--help"])
-        assert err.value.code == 0
-        text = capsys.readouterr().out
-        for key in CONFIG_KEYS:
-            assert "--" + key.replace("_", "-") in text
+# the config keys each subcommand reads, restated from the README
+READ_KEYS = {
+    "scan": CONFIG_KEYS,
+    "carpet": ("lambda0", "z0", "d", "f", "trunc"),
+    "mask": ("d", "f"),
+    "mc": CONFIG_KEYS,
+    "oracle": ("lambda0", "z0", "delta", "d", "f", "trunc", "z"),
+    "analyze": CONFIG_KEYS,
+}
+
+
+@pytest.mark.parametrize("command", list(READ_KEYS))
+def test_help_lists_exactly_the_keys_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    listed = {key for key in CONFIG_KEYS
+              if f"--{key.replace('_', '-')} VALUE" in text}
+    assert listed == set(READ_KEYS[command])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["carpet", "--fwhm", "0"], "--fwhm"),
+    (["carpet", "--wavelength", "700nm"], "--wavelength"),
+    (["oracle", "--scan-step", "6um"], "--scan-step"),
+    (["mask", "--trunc", "25"], "--trunc"),
+], ids=["carpet-fwhm", "carpet-wavelength", "oracle-scan-step", "mask-trunc"])
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv,
+                                                      flag):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "unrecognized arguments" in message and flag in message
+    assert not out.exists()
+
+
+def test_config_keys_a_subcommand_does_not_read_are_ignored(tmp_path,
+                                                            capsys):
+    # one file serves every subcommand: a scan echo, with an even node
+    # count that scan itself refuses, runs carpet, which echoes its own
+    # five keys alone
+    scan_csv = tmp_path / "scan.csv"
+    assert main(["scan", "--out", str(scan_csv), "--lambda0", "700nm"]
+                + FAST) == 0
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(_echoed_config(scan_csv).replace(
+        "spectral_samples = 41", "spectral_samples = 2"), encoding="utf-8")
+    out = tmp_path / "carpet.csv"
+    assert main(["carpet", "--config", str(cfg), "--x-count", "8",
+                 "--z-count", "4", "--out", str(out)]) == 0
+    header = [ln for ln in out.read_text(encoding="utf-8").splitlines()
+              if ln.startswith("#")]
+    assert header == ["# lambda0 = 7e-07", "# z0 = none", "# d = 0.00036",
+                      "# f = 0.1", "# trunc = 25", "# norm: raw"]
+    # a value that does not parse is still an error, read or not
+    cfg.write_text("fwhm = quick\n", encoding="utf-8")
+    assert main(["carpet", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:1:" in capsys.readouterr().err
