@@ -8,7 +8,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import GratingSpec, Pattern, SourceSpec, effective_distance
+from .model import (GratingSpec, Pattern, SourceSpec, array_length,
+                    effective_distance)
 from .propagation import (_MIN_ROW_POINTS, _fast_length, _harmonics,
                           _plane_harmonics)
 
@@ -165,7 +166,7 @@ def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
         return z
 
     scores = _revival_scorer(lam, source, search_grating, (ref, ref_norm))
-    zs = np.linspace(z_lo, z_hi, steps)
+    zs = np.linspace(z_lo, z_hi, array_length(steps, "search planes"))
     coarse = scores(zs)
     if coarse.max() - coarse.min() < 1e-6:
         raise DomainError("no revival found: correlation landscape is flat")

@@ -13,19 +13,18 @@ import sys
 
 import numpy as np
 
-from .analysis import (REVIVAL_STEPS, fringe_width_fraction,
-                       revival_distance, visibility)
-from .config import (CONFIG_KEYS, KEY_HELP, RunConfig, build_config,
-                     echo_lines, parse_value, read_config_file)
+from .analysis import fringe_width_fraction, revival_distance, visibility
+from .config import (KEY_HELP, RUN_KEYS, RunConfig, build_config, echo_lines,
+                     parse_value, read_config_file, resolve)
 from .csvio import (write_carpet_csv, write_mc_csv, write_oracle_csv,
                     write_scan_csv)
 from .errors import ConfigError, DomainError, ResolutionCapError
-from .grating import SlmProfile, render_slm_mask, write_pgm
-from .model import NORM_COLUMN_MAX_ONE, NORM_RAW, talbot_length
+from .grating import render_slm_mask, write_pgm
+from .model import array_length
 from .montecarlo import RNG_ID, simulate_scan
-from .oracle import DEFAULT_MAX_WINDOWS, fresnel_intensity
+from .oracle import fresnel_intensity
 from .propagation import carpet, intensity, scan
-from .units import fmt, fmt_exact, parse_length
+from .units import fmt, fmt_exact
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,6 +35,10 @@ _UNITS_EPILOG = ("lengths accept nm, um, mm and m suffixes; a bare number "
                  "is meters.  Negative values need the --flag=value form, "
                  "for example --scan-start=-600um.  Flags override --config "
                  "keys, which override the built-in baseline.")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _add_common(sub: argparse.ArgumentParser, keys, default_out) -> None:
@@ -51,31 +54,23 @@ def _add_common(sub: argparse.ArgumentParser, keys, default_out) -> None:
                           "the computation runs on one thread and does not "
                           "depend on it")
     for key in keys:
-        sub.add_argument("--" + key.replace("_", "-"), dest="key_" + key,
-                         metavar="VALUE", help=KEY_HELP[key])
+        sub.add_argument(_flag(key), dest="key_" + key, metavar="VALUE",
+                         help=KEY_HELP[key])
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """args.keys from the flags, else the --config file, else the baseline."""
+    """args.keys from the flags, else the --config file, else the baseline,
+    with the derived defaults resolved."""
     values = read_config_file(args.config) if args.config else {}
     values = {key: values[key] for key in args.keys if key in values}
     for key in args.keys:
         text = getattr(args, "key_" + key)
         if text is not None:
-            values[key] = parse_value(key, text)
-    return build_config(values)
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+            try:
+                values[key] = parse_value(key, text)
+            except ConfigError as err:
+                raise ConfigError(f"argument {_flag(key)}: {err}") from None
+    return resolve(build_config(values), args.keys)
 
 
 def _check_threads(args: argparse.Namespace) -> None:
@@ -84,17 +79,8 @@ def _check_threads(args: argparse.Namespace) -> None:
         raise ConfigError("thread count must be >= 1")
 
 
-def _add_window(sub: argparse.ArgumentParser, *helps: str) -> None:
-    """--x-min and --x-max, which _window reads."""
-    for flag, text, default in zip(("--x-min", "--x-max"), helps, ("-d", "d")):
-        sub.add_argument(flag, metavar="VALUE",
-                         help=f"{text} (default: {default})")
-
-
-def _window(args: argparse.Namespace, cfg: RunConfig):
-    """The x edges set by _add_window's flags."""
-    return (parse_length(args.x_min) if args.x_min else -cfg.d,
-            parse_length(args.x_max) if args.x_max else cfg.d)
+def _grid(lo: float, hi: float, count: int, what: str) -> np.ndarray:
+    return np.linspace(lo, hi, array_length(count, what))
 
 
 def _scan_curve(cfg: RunConfig):
@@ -116,36 +102,26 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_carpet(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    lt = talbot_length(cfg.d, cfg.lambda0)
-    z_lo = parse_length(args.z_min) if args.z_min else lt / 50.0
-    z_hi = parse_length(args.z_max) if args.z_max else 2.0 * lt
     carp = carpet(cfg.source(), cfg.grating(),
-                  np.linspace(*_window(args, cfg), args.x_count),
-                  np.linspace(z_lo, z_hi, args.z_count), norm=args.norm)
-    comments = echo_lines(cfg, args.keys) + [f"# norm: {args.norm}"]
-    write_carpet_csv(args.out, carp, comments)
+                  _grid(cfg.x_min, cfg.x_max, cfg.x_count, "x samples"),
+                  _grid(cfg.z_min, cfg.z_max, cfg.z_count, "z samples"),
+                  norm=cfg.norm)
+    write_carpet_csv(args.out, carp, echo_lines(cfg, args.keys))
     return EXIT_OK
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    profile = SlmProfile(width_px=args.width_px, height_px=args.height_px,
-                         pixel_pitch=parse_length(args.pixel_pitch),
-                         gray_open=args.gray_open,
-                         gray_closed=args.gray_closed)
-    write_pgm(args.out, render_slm_mask(cfg.grating(), profile))
+    write_pgm(args.out, render_slm_mask(cfg.grating(), cfg.slm()))
     return EXIT_OK
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    pattern = simulate_scan(_scan_curve(cfg), args.seed,
-                            args.events_per_point)
-    comments = echo_lines(cfg, args.keys) + [
-        f"# seed: {args.seed}",
-        f"# rng: {RNG_ID}",
-        f"# events-per-point: {fmt_exact(args.events_per_point)}",
-    ]
+    if cfg.seed is None:
+        raise ConfigError("mc needs a seed (--seed, or seed in --config)")
+    pattern = simulate_scan(_scan_curve(cfg), cfg.seed, cfg.events_per_point)
+    comments = echo_lines(cfg, args.keys) + [f"# rng: {RNG_ID}"]
     write_mc_csv(args.out, pattern, comments)
     return EXIT_OK
 
@@ -153,10 +129,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     source, grating = cfg.source(), cfg.grating()
-    xs = np.linspace(*_window(args, cfg), args.points)
+    xs = _grid(cfg.x_min, cfg.x_max, cfg.points, "probe positions")
     analytic = intensity(xs, cfg.lambda0, source, grating, cfg.z)
     numeric = fresnel_intensity(xs, cfg.lambda0, source, grating, cfg.z,
-                                max_windows=args.max_steps)
+                                max_windows=cfg.max_steps)
     max_err = write_oracle_csv(args.out, xs, analytic, numeric,
                                echo_lines(cfg, args.keys))
     print(f"max_rel_err={fmt(max_err)}")
@@ -167,14 +143,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     pattern = _scan_curve(cfg)
     period = cfg.d * pattern.meta["magnification"]
-    z_lo = parse_length(args.z_lo) if args.z_lo else 0.8 * cfg.z
-    z_hi = parse_length(args.z_hi) if args.z_hi else 1.3 * cfg.z
     revival = revival_distance(cfg.source(), cfg.grating(), cfg.lambda0,
-                               z_lo, z_hi, steps=args.z_steps)
+                               cfg.z_lo, cfg.z_hi, steps=cfg.z_steps)
     lines = echo_lines(cfg, args.keys) + [
-        f"# z-lo: {fmt_exact(z_lo)}",
-        f"# z-hi: {fmt_exact(z_hi)}",
-        f"# z-steps: {args.z_steps}",
         f"visibility = {fmt(visibility(pattern))}",
         f"fringe_fraction = {fmt(fringe_width_fraction(pattern, period))}",
         f"revival_mm = {fmt(revival * 1e3)}",
@@ -187,87 +158,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _carpet_args(sub: argparse.ArgumentParser) -> None:
-    _add_window(sub, "left edge of the x raster",
-                "right edge of the x raster")
-    sub.add_argument("--x-count", type=_positive_int, default=256,
-                     metavar="N", help="x samples (default 256)")
-    sub.add_argument("--z-min", metavar="VALUE",
-                     help="nearest plane (default: d*d/lambda0/50)")
-    sub.add_argument("--z-max", metavar="VALUE",
-                     help="farthest plane (default: 2*d*d/lambda0)")
-    sub.add_argument("--z-count", type=_positive_int, default=128,
-                     metavar="N", help="z samples (default 128)")
-    sub.add_argument("--norm", default=NORM_RAW,
-                     choices=(NORM_RAW, NORM_COLUMN_MAX_ONE),
-                     help="value scaling (default raw)")
+# the run keys but delta, which only the oracle's aperture reads
+_SCAN = tuple(key for key in RUN_KEYS if key != "delta")
 
-
-def _mask_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--width-px", type=int, default=SlmProfile.width_px,
-                     metavar="N", help="mask width in pixels "
-                                       "(default %(default)s)")
-    sub.add_argument("--height-px", type=int, default=SlmProfile.height_px,
-                     metavar="N", help="mask height in pixels "
-                                       "(default %(default)s)")
-    # the bare-meter repr parses back to the default bit for bit
-    sub.add_argument("--pixel-pitch", metavar="VALUE",
-                     default=fmt_exact(SlmProfile.pixel_pitch),
-                     help="pixel size (default %(default)s m)")
-    sub.add_argument("--gray-open", type=int, default=SlmProfile.gray_open,
-                     metavar="G", help="gray level of open columns "
-                                       "(default %(default)s)")
-    sub.add_argument("--gray-closed", type=int,
-                     default=SlmProfile.gray_closed, metavar="G",
-                     help="gray level of closed columns "
-                          "(default %(default)s)")
-
-
-def _mc_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, required=True, metavar="U64",
-                     help="RNG seed; identical seeds give identical files")
-    sub.add_argument("--events-per-point", type=float, default=1000.0,
-                     metavar="MEAN",
-                     help="expected counts at the curve peak (default 1000)")
-
-
-def _oracle_args(sub: argparse.ArgumentParser) -> None:
-    _add_window(sub, "first probe position", "last probe position")
-    sub.add_argument("--points", type=_positive_int, default=129,
-                     metavar="N", help="probe positions (default 129)")
-    sub.add_argument("--max-steps", type=_positive_int,
-                     default=DEFAULT_MAX_WINDOWS, metavar="N",
-                     help="cap on the open grating windows integrated per "
-                          f"field evaluation (default {DEFAULT_MAX_WINDOWS})")
-
-
-def _analyze_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--z-lo", metavar="VALUE",
-                     help="revival search start (default: 0.8*z)")
-    sub.add_argument("--z-hi", metavar="VALUE",
-                     help="revival search end (default: 1.3*z)")
-    sub.add_argument("--z-steps", type=int, default=REVIVAL_STEPS,
-                     metavar="N",
-                     help="revival search grid size (default %(default)s)")
-
-
-# name -> (help line, config keys it reads, default --out, builder of its
-# own arguments, handler), in --help order
+# name -> (help line, config keys it reads in echo order, default --out,
+# handler), in --help order
 _COMMANDS = {
-    "scan": ("slit-scan count-rate curve as CSV", CONFIG_KEYS, "scan.csv",
-             None, cmd_scan),
+    "scan": ("slit-scan count-rate curve as CSV", _SCAN, "scan.csv",
+             cmd_scan),
     "carpet": ("monochromatic intensity raster as CSV",
-               ("lambda0", "z0", "d", "f", "trunc"), "carpet.csv",
-               _carpet_args, cmd_carpet),
-    "mask": ("binary grating mask as a P5 PGM image", ("d", "f"), "mask.pgm",
-             _mask_args, cmd_mask),
-    "mc": ("seeded photon-count simulation as CSV", CONFIG_KEYS, "mc.csv",
-           _mc_args, cmd_mc),
+               ("lambda0", "z0", "d", "f", "trunc", "x_min", "x_max",
+                "x_count", "z_min", "z_max", "z_count", "norm"),
+               "carpet.csv", cmd_carpet),
+    "mask": ("binary grating mask as a P5 PGM image",
+             ("d", "f", "width_px", "height_px", "pixel_pitch", "gray_open",
+              "gray_closed"), "mask.pgm", cmd_mask),
+    "mc": ("seeded photon-count simulation as CSV",
+           _SCAN + ("seed", "events_per_point"), "mc.csv", cmd_mc),
     "oracle": ("analytic intensity vs direct Fresnel integral, side by side",
-               ("lambda0", "z0", "delta", "d", "f", "trunc", "z"),
-               "oracle.csv", _oracle_args, cmd_oracle),
+               ("lambda0", "z0", "delta", "d", "f", "trunc", "z", "x_min",
+                "x_max", "points", "max_steps"), "oracle.csv", cmd_oracle),
     "analyze": ("visibility, fringe width fraction and revival distance",
-                CONFIG_KEYS, None, _analyze_args, cmd_analyze),
+                _SCAN + ("z_lo", "z_hi", "z_steps"), None, cmd_analyze),
 }
 
 
@@ -283,11 +195,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  prog="talbot-sim")
     for name in [command] if command else _COMMANDS:
-        help_line, keys, default_out, add_args, handler = _COMMANDS[name]
+        help_line, keys, default_out, handler = _COMMANDS[name]
         sub = subs.add_parser(name, epilog=_UNITS_EPILOG, help=help_line)
         _add_common(sub, keys, default_out)
-        if add_args:
-            add_args(sub)
         sub.set_defaults(func=handler, keys=keys)
     return parser
 

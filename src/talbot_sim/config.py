@@ -2,9 +2,9 @@
 
 A config file is flat ``key = value`` text.  Lengths accept nm/um/mm/m
 suffixes (bare numbers are meters), ``z0 = none`` selects plane-wave
-illumination, and ``delta``/``trunc`` accept ``auto`` to defer to the
-derived defaults.  Unknown keys, bad values and duplicates are reported
-with file and line number.
+illumination, and ``delta``, ``trunc`` and the window edges accept
+``auto`` to defer to the derived defaults.  Unknown keys, bad values and
+duplicates are reported with file and line number.
 """
 
 from __future__ import annotations
@@ -12,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
+from .analysis import REVIVAL_STEPS
 from .errors import ConfigError
-from .model import (SPECTRAL_SAMPLES, SPECTRAL_SPAN, DetectionSpec,
-                    GratingSpec, SourceSpec, beta_from_fwhm, spectral_grid)
+from .grating import SlmProfile
+from .model import (NORM_COLUMN_MAX_ONE, NORM_RAW, SPECTRAL_SAMPLES,
+                    SPECTRAL_SPAN, DetectionSpec, GratingSpec, SourceSpec,
+                    beta_from_fwhm, spectral_grid, talbot_length)
+from .oracle import DEFAULT_MAX_WINDOWS
 from .units import fmt_exact, parse_float, parse_int, parse_length
 
 
@@ -23,14 +27,35 @@ def _or(word: str, parse):
     return lambda text: None if text.lower() == word else parse(text)
 
 
+def _count(text: str) -> int:
+    n = parse_int(text)
+    if n < 1:
+        raise ConfigError(f"must be >= 1, got {n}")
+    return n
+
+
+def _norm(text: str) -> str:
+    if text not in (NORM_RAW, NORM_COLUMN_MAX_ONE):
+        raise ConfigError(f"expected {NORM_RAW} or "
+                          f"{NORM_COLUMN_MAX_ONE}, got {text!r}")
+    return text
+
+
 def _key(default, parse, help_line: str):
     """A config key: its default, its value parser and its --help line."""
     return field(default=default, metadata={"parse": parse, "help": help_line})
 
 
+def _auto(what: str, rule: str):
+    """A length key whose default, 'auto', derives from other keys by rule."""
+    return _key(None, _or("auto", parse_length),
+                f"{what} (length, or 'auto' for {rule})")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """The fourteen run parameters, before spec-level validation.
+    """Every input of a run, before spec-level validation: the fourteen
+    run parameters, then the inputs of single subcommands.
 
     The built-in baseline: 810 nm center with a 50 nm filter on 41
     wavelengths over +-3 half-widths, source about 1.99 m upstream, 360 um
@@ -67,6 +92,34 @@ class RunConfig:
     scan_end: float = _key(600e-6, parse_length,
                            "last slit position (length)")
     scan_step: float = _key(12e-6, parse_length, "slit step (length)")
+    # carpet and oracle
+    x_min: Optional[float] = _auto("left x edge", "-d")
+    x_max: Optional[float] = _auto("right x edge", "d")
+    x_count: int = _key(256, _count, "x samples")
+    z_min: Optional[float] = _auto("nearest plane", "d*d/lambda0/50")
+    z_max: Optional[float] = _auto("farthest plane", "2*d*d/lambda0")
+    z_count: int = _key(128, _count, "z samples")
+    norm: str = _key(NORM_RAW, _norm, f"{NORM_RAW} or {NORM_COLUMN_MAX_ONE}")
+    points: int = _key(129, _count, "probe positions")
+    max_steps: int = _key(DEFAULT_MAX_WINDOWS, _count, "cap on the open "
+                          "grating windows integrated per field evaluation")
+    # analyze
+    z_lo: Optional[float] = _auto("revival search start", "0.8*z")
+    z_hi: Optional[float] = _auto("revival search end", "1.3*z")
+    z_steps: int = _key(REVIVAL_STEPS, parse_int, "revival search grid size")
+    # mc
+    seed: Optional[int] = _key(None, _or("none", parse_int),
+                               "RNG seed, an integer 0 to 2**64 - 1")
+    events_per_point: float = _key(1000.0, parse_float,
+                                   "expected counts at the curve peak")
+    # mask
+    width_px: int = _key(SlmProfile.width_px, parse_int, "width in pixels")
+    height_px: int = _key(SlmProfile.height_px, parse_int, "height in pixels")
+    pixel_pitch: float = _key(SlmProfile.pixel_pitch, parse_length,
+                              "pixel size (length)")
+    gray_open: int = _key(SlmProfile.gray_open, parse_int, "open gray level")
+    gray_closed: int = _key(SlmProfile.gray_closed, parse_int,
+                            "closed gray level")
 
     def source(self) -> SourceSpec:
         return SourceSpec(lambda0=self.lambda0,
@@ -86,9 +139,15 @@ class RunConfig:
                              scan_end=self.scan_end,
                              scan_step=self.scan_step)
 
+    def slm(self) -> SlmProfile:
+        return SlmProfile(self.width_px, self.height_px, self.pixel_pitch,
+                          self.gray_open, self.gray_closed)
+
 
 _FIELDS = {spec.name: spec for spec in fields(RunConfig)}
 CONFIG_KEYS = tuple(_FIELDS)
+# the fourteen run parameters; the keys after them belong to one subcommand
+RUN_KEYS = CONFIG_KEYS[:CONFIG_KEYS.index("x_min")]
 DEFAULTS: dict[str, object] = {k: spec.default for k, spec in _FIELDS.items()}
 KEY_HELP = {k: spec.metadata["help"] for k, spec in _FIELDS.items()}
 
@@ -136,23 +195,43 @@ def build_config(file_values: Optional[dict] = None,
     return RunConfig(**{**(file_values or {}), **(overrides or {})})
 
 
+# the keys whose None defers to a default derived from other keys
+_DERIVED = {
+    "delta": lambda c: c.source().delta,
+    "trunc": lambda c: c.grating().trunc,
+    "x_min": lambda c: -c.d,
+    "x_max": lambda c: c.d,
+    "z_min": lambda c: talbot_length(c.d, c.lambda0) / 50.0,
+    "z_max": lambda c: 2.0 * talbot_length(c.d, c.lambda0),
+    "z_lo": lambda c: 0.8 * c.z,
+    "z_hi": lambda c: 1.3 * c.z,
+}
+
+
+def resolve(config: RunConfig, keys=CONFIG_KEYS) -> RunConfig:
+    """config with each derived key among keys that is None set to its
+    derived default."""
+    return replace(config, **{key: _DERIVED[key](config) for key in keys
+                              if key in _DERIVED
+                              and getattr(config, key) is None})
+
+
 def _echo_value(value) -> str:
-    if value is None:  # only z0: echo_lines resolves delta and trunc
+    if value is None:  # z0 (a plane wave) or an absent seed
         return "none"
-    # counts echo as integers and other numbers as their shortest repr
-    # (lengths in bare meters), which parse back bit-identically
-    return str(value) if isinstance(value, int) else fmt_exact(value)
+    # counts and words (norm) echo as they are, other numbers as their
+    # shortest repr (lengths in bare meters): each parses back bit-identically
+    return str(value) if isinstance(value, (int, str)) else fmt_exact(value)
 
 
-def echo_lines(config: RunConfig, keys=CONFIG_KEYS) -> list[str]:
+def echo_lines(config: RunConfig, keys=RUN_KEYS) -> list[str]:
     """Render the fully resolved values of keys as '# key = value' comment
     lines, in the order of keys.
 
-    Derived fields (delta, trunc) are echoed as their resolved values,
-    so feeding the echo back as a config file reproduces a run that
-    reads only keys exactly, bit for bit.
+    Derived keys (delta, trunc, the windows) are echoed as their resolved
+    values, so feeding the echo back as a config file reproduces a run
+    that reads only keys exactly, bit for bit.
     """
-    resolved = replace(config, delta=config.source().delta,
-                       trunc=config.grating().trunc)
+    resolved = resolve(config, keys)
     return [f"# {key} = {_echo_value(getattr(resolved, key))}"
             for key in keys]

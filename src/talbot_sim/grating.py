@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import GratingSpec, shaped_like
+from .model import GratingSpec, array_length, shaped_like
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class SlmProfile:
     def __post_init__(self) -> None:
         if self.width_px <= 0 or self.height_px <= 0:
             raise DomainError("panel dimensions must be positive")
+        array_length(self.width_px * self.height_px, "mask pixels")
         if self.pixel_pitch <= 0:
             raise DomainError("pixel pitch must be positive")
         for g in (self.gray_open, self.gray_closed):

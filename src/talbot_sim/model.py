@@ -38,6 +38,14 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
+def array_length(count, what: str) -> int:
+    """int(count) if numpy can size an array of that many 8-byte values (it
+    checks before it allocates), else DomainError naming what."""
+    _require(count < np.iinfo(np.intp).max // 8,
+             f"too many {what} for one array: {count:.6g}")
+    return int(count)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -123,14 +131,10 @@ class DetectionSpec:
     def positions(self) -> np.ndarray:
         """Slit positions scan_start, scan_start+step, ... up to scan_end."""
         span = self.scan_end - self.scan_start
-        try:  # numpy refuses a count too large for one array
-            # the +eps absorbs representation error when span/step is integral
-            steps = np.arange(
-                int(math.floor(span / self.scan_step * (1.0 + 1e-12))) + 1)
-        except (OverflowError, ValueError):
-            raise DomainError("scan has more positions than an array can "
-                              "hold") from None
-        return self.scan_start + self.scan_step * steps
+        # the +eps absorbs representation error when span/step is integral
+        steps = array_length(span / self.scan_step * (1.0 + 1e-12),
+                             "scan positions")
+        return self.scan_start + self.scan_step * np.arange(steps + 1)
 
 
 @dataclass(frozen=True)

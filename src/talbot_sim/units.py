@@ -23,6 +23,7 @@ _LENGTH_POWERS = {
 }
 
 _VALUE_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$")
+_DIGITS_RE = re.compile(r"^\s*[-+]?[0-9]{1,30}\s*$")
 
 
 def _decimal(text: str, what: str) -> tuple[str, int, str]:
@@ -72,6 +73,8 @@ def parse_float(text: str) -> float:
 
 def parse_int(text: str) -> int:
     """Parse an integer value; rejects fractions and unit suffixes."""
+    if _DIGITS_RE.match(text):  # exactly, so a 64-bit seed keeps every bit
+        return int(text)
     value = parse_float(text)
     if value != int(value):
         raise ConfigError(f"expected an integer, got {text!r}")

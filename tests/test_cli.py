@@ -27,8 +27,8 @@ def _data_lines(path):
 
 
 def _echoed_config(path):
-    # config echo lines look like '# key = value'; later comment lines
-    # (magnification, seed, ...) use '# name: value'
+    # config echo lines look like '# key = value'; the outputs after them
+    # (magnification, rng, ...) use '# name: value'
     out = []
     for ln in path.read_text(encoding="utf-8").splitlines():
         if not ln.startswith("# ") or "=" not in ln:
@@ -54,28 +54,29 @@ def test_scan_writes_csv(tmp_path):
 # non-default keys for the scan, mc and analyze runs below
 _SCAN_KEYS = ["--f", "0.35", "--scan-start=-300um", "--lambda0", "805nm",
               "--spectral-samples", "11", "--spectral-span", "2.5"] + FAST
-# carpet and oracle leave their window flags at the defaults, which
-# follow lambda0 and d
+# carpet's z window and oracle's x window stay at their defaults, which
+# follow lambda0, d and z
 _FIELD_KEYS = ["--lambda0", "700nm", "--f", "0.35", "--z0", "1.5m",
                "--trunc", "25"]
 
 
-@pytest.mark.parametrize("command, keys, extra", [
-    ("scan", _SCAN_KEYS, []),
-    ("mc", _SCAN_KEYS, ["--seed", "7"]),
-    ("analyze", _SCAN_KEYS, []),
-    ("carpet", _FIELD_KEYS, ["--x-count", "16", "--z-count", "8"]),
-    ("oracle", _FIELD_KEYS, ["--points", "9"]),
+# each run, including its own non-default keys, reruns from its echo alone
+@pytest.mark.parametrize("command, keys", [
+    ("scan", _SCAN_KEYS),
+    ("mc", _SCAN_KEYS + ["--seed", "7", "--events-per-point", "200"]),
+    ("analyze", _SCAN_KEYS + ["--z-lo=150mm", "--z-hi=170mm",
+                              "--z-steps", "32"]),
+    ("carpet", _FIELD_KEYS + ["--x-count", "16", "--z-count", "8", "--norm",
+                              "per-column-max-one", "--x-min=-100um"]),
+    ("oracle", _FIELD_KEYS + ["--points", "9", "--max-steps", "99"]),
 ], ids=["scan", "mc", "analyze", "carpet", "oracle"])
-def test_scan_round_trips_through_its_own_echo(tmp_path, command, keys,
-                                               extra):
+def test_scan_round_trips_through_its_own_echo(tmp_path, command, keys):
     first = tmp_path / "first.csv"
-    assert main([command, "--out", str(first)] + keys + extra) == 0
+    assert main([command, "--out", str(first)] + keys) == 0
     cfg = tmp_path / "echo.cfg"
     cfg.write_text(_echoed_config(first), encoding="utf-8")
     second = tmp_path / "second.csv"
-    assert main([command, "--out", str(second), "--config", str(cfg)]
-                + extra) == 0
+    assert main([command, "--out", str(second), "--config", str(cfg)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -109,27 +110,38 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
                          "--out", str(tmp_path / "x.csv")]) == code
             err = capsys.readouterr().err
             assert fragment in err
-            if code == 2 and argv[0] == "--config":
-                assert f"{spectral}:2:" in err
+            # a parse error names the line or the flag it came from
+            if code == 2:
+                assert (f"{spectral}:2:" if argv[0] == "--config"
+                        else f"error: argument {argv[0]}: ") in err
 
 
 def test_exit_code_for_domain_problems(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    # numpy refuses the second scan's position count before allocating
-    for flags in (["--f", "0"], ["--scan-start=1e300", "--scan-end=1e301"]):
-        assert main(["scan", "--out", str(out)] + flags) == 3
+    # numpy refuses every array length after the first run's before
+    # allocating: each is 2**63 or more
+    huge = "20000000000000000000"
+    for argv in (["scan", "--f", "0"],
+                 ["scan", "--scan-start=1e300", "--scan-end=1e301"],
+                 ["carpet", "--x-count", huge], ["oracle", "--points", huge],
+                 ["mask", "--width-px", huge],
+                 ["analyze", "--f", "0.001", "--z-lo=80mm", "--z-hi=130mm",
+                  "--z-steps", huge]):
+        assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
 def test_mc_rejects_dwell_beyond_poisson_sampler(tmp_path, capsys):
-    # numpy's Poisson sampler refuses means above about 9.2e18
+    # numpy's Poisson sampler refuses means above about 9.2e18; inf is not
+    # a number the flag parses
     out = tmp_path / "mc.csv"
-    for events in ("1e30", "inf"):
+    for events, code, name in (("1e30", 3, "events_per_point"),
+                               ("inf", 2, "--events-per-point")):
         assert main(["mc", "--seed", "1", "--events-per-point", events,
-                     "--out", str(out)] + FAST) == 3
-        assert "events_per_point" in capsys.readouterr().err
+                     "--out", str(out)] + FAST) == code
+        assert name in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -233,9 +245,7 @@ def test_top_level_messages_name_every_subcommand(capsys):
                               "carpet-z-count"])
 def test_count_flags_reject_non_positive(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--out", str(out)] + FAST)
-    assert err.value.code == 2
+    assert main(argv + ["--out", str(out)] + FAST) == 2
     message = capsys.readouterr().err.splitlines()[-1]
     assert message.endswith(f"argument {argv[1]}: must be >= 1, "
                             f"got {argv[2]}")
@@ -243,9 +253,7 @@ def test_count_flags_reject_non_positive(tmp_path, capsys, argv):
 
 
 def test_mc_requires_seed(tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["mc", "--out", str(tmp_path / "mc.csv")])
-    assert err.value.code == 2
+    assert main(["mc", "--out", str(tmp_path / "mc.csv")]) == 2
 
 
 def test_mc_deterministic_and_labeled(tmp_path):
@@ -256,7 +264,7 @@ def test_mc_deterministic_and_labeled(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     text = a.read_text(encoding="utf-8")
-    assert "# seed: 7" in text
+    assert "# seed = 7" in text
     assert "# rng: numpy.random.Philox" in text
     rows = _data_lines(a)
     assert rows[0] == "x_over_d,counts,error"
@@ -311,10 +319,8 @@ def test_carpet_matrix_layout(tmp_path):
 
 
 def test_carpet_rejects_unknown_norm(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["carpet", "--norm", "percent",
-              "--out", str(tmp_path / "c.csv")])
-    assert err.value.code == 2
+    assert main(["carpet", "--norm", "percent",
+                 "--out", str(tmp_path / "c.csv")]) == 2
 
 
 def test_oracle_reports_max_error(tmp_path, capsys):
@@ -374,23 +380,30 @@ def test_analyze_report(tmp_path, capsys):
      (0.155, 0.165, 16)),
 ], ids=["defaults", "flags"])
 def test_analyze_report_names_its_revival_window(capsys, flags, window):
-    # the resolved search window follows the config echo
+    # the resolved search window ends the config echo, before the three
+    # result lines
     assert main(["analyze", "--scan-step", "24um"] + flags + FAST) == 0
     lines = capsys.readouterr().out.splitlines()
-    names, values = zip(*(ln[2:].split(": ")
-                          for ln in lines[len(CONFIG_KEYS):][:3]))
-    assert names == ("z-lo", "z-hi", "z-steps")
+    names, values = zip(*(ln[2:].split(" = ") for ln in lines[:-3]))
+    assert names[-3:] == ("z_lo", "z_hi", "z_steps")
+    values = values[-3:]
     assert (float(values[0]), float(values[1]), int(values[2])) == window
 
 
 # the config keys each subcommand reads, restated from the README
+_SCAN_READS = ("lambda0", "fwhm", "spectral_samples", "spectral_span", "z0",
+               "d", "f", "trunc", "z", "slit_width", "scan_start",
+               "scan_end", "scan_step")
 READ_KEYS = {
-    "scan": CONFIG_KEYS,
-    "carpet": ("lambda0", "z0", "d", "f", "trunc"),
-    "mask": ("d", "f"),
-    "mc": CONFIG_KEYS,
-    "oracle": ("lambda0", "z0", "delta", "d", "f", "trunc", "z"),
-    "analyze": CONFIG_KEYS,
+    "scan": _SCAN_READS,
+    "carpet": ("lambda0", "z0", "d", "f", "trunc", "x_min", "x_max",
+               "x_count", "z_min", "z_max", "z_count", "norm"),
+    "mask": ("d", "f", "width_px", "height_px", "pixel_pitch", "gray_open",
+             "gray_closed"),
+    "mc": _SCAN_READS + ("seed", "events_per_point"),
+    "oracle": ("lambda0", "z0", "delta", "d", "f", "trunc", "z", "x_min",
+               "x_max", "points", "max_steps"),
+    "analyze": _SCAN_READS + ("z_lo", "z_hi", "z_steps"),
 }
 
 
@@ -410,7 +423,9 @@ def test_help_lists_exactly_the_keys_it_reads(capsys, command):
     (["carpet", "--wavelength", "700nm"], "--wavelength"),
     (["oracle", "--scan-step", "6um"], "--scan-step"),
     (["mask", "--trunc", "25"], "--trunc"),
-], ids=["carpet-fwhm", "carpet-wavelength", "oracle-scan-step", "mask-trunc"])
+    (["scan", "--delta", "5mm"], "--delta"),
+], ids=["carpet-fwhm", "carpet-wavelength", "oracle-scan-step", "mask-trunc",
+        "scan-delta"])
 def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv,
                                                       flag):
     out = tmp_path / "x"
@@ -425,8 +440,8 @@ def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv,
 def test_config_keys_a_subcommand_does_not_read_are_ignored(tmp_path,
                                                             capsys):
     # one file serves every subcommand: a scan echo, with an even node
-    # count that scan itself refuses, runs carpet, which echoes its own
-    # five keys alone
+    # count that scan itself refuses, runs carpet, which echoes the five
+    # run keys it reads and its own keys alone
     scan_csv = tmp_path / "scan.csv"
     assert main(["scan", "--out", str(scan_csv), "--lambda0", "700nm"]
                 + FAST) == 0
@@ -439,7 +454,11 @@ def test_config_keys_a_subcommand_does_not_read_are_ignored(tmp_path,
     header = [ln for ln in out.read_text(encoding="utf-8").splitlines()
               if ln.startswith("#")]
     assert header == ["# lambda0 = 7e-07", "# z0 = none", "# d = 0.00036",
-                      "# f = 0.1", "# trunc = 25", "# norm: raw"]
+                      "# f = 0.1", "# trunc = 25", "# x_min = -0.00036",
+                      "# x_max = 0.00036", "# x_count = 8",
+                      "# z_min = 0.003702857142857144",
+                      "# z_max = 0.3702857142857144", "# z_count = 4",
+                      "# norm = raw"]
     # a value that does not parse is still an error, read or not
     cfg.write_text("fwhm = quick\n", encoding="utf-8")
     assert main(["carpet", "--config", str(cfg), "--out", str(out)]) == 2
