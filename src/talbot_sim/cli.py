@@ -24,7 +24,7 @@ from .model import array_length
 from .montecarlo import RNG_ID, simulate_scan
 from .oracle import fresnel_intensity
 from .propagation import carpet, intensity, scan
-from .units import fmt, fmt_exact
+from .units import fmt, fmt_exact, parse_int
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,7 +49,7 @@ def _add_common(sub: argparse.ArgumentParser, keys, default_out) -> None:
                 else "optional file to also receive the report")
     sub.add_argument("--out", metavar="PATH", default=default_out,
                      help=out_help)
-    sub.add_argument("--threads", type=int, default=None, metavar="N",
+    sub.add_argument("--threads", metavar="N",
                      help="thread count, checked to be >= 1 (default 1); "
                           "the computation runs on one thread and does not "
                           "depend on it")
@@ -74,9 +74,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_threads(args: argparse.Namespace) -> None:
-    """Validate --threads; the count is not used."""
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError("thread count must be >= 1")
+    """Validate --threads as the flags of keys are; the count is not used."""
+    try:
+        if args.threads is not None and parse_int(args.threads) < 1:
+            raise ConfigError("thread count must be >= 1")
+    except ConfigError as err:
+        raise ConfigError(f"argument --threads: {err}") from None
 
 
 def _grid(lo: float, hi: float, count: int, what: str) -> np.ndarray:

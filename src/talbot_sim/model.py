@@ -96,6 +96,8 @@ class GratingSpec:
 
     def __post_init__(self) -> None:
         _require(self.d > 0, "grating period d must be positive")
+        _require(math.isfinite(self.d * self.d),
+                 f"grating period d = {self.d:g} m too large: d*d overflows")
         _require(0 < self.f <= 1, "open fraction f must be in (0, 1]")
         if self.trunc is None:
             _require(8.0 / self.f < math.inf,

@@ -4,16 +4,16 @@ Everything here comes from the harmonic expansion of the grating.  The
 field amplitude is psi(x) = sum_n c_n exp(i*n*a*x) with the chirped
 coefficients c_n = A_n exp(i*n^2*b), b = pi*lam*z_eff/d^2.  Its intensity
 |psi|^2 has the harmonics C_q = sum_n c_{n+q} conj(c_n), q = 0..2*trunc,
-the autocorrelation of c, which one FFT sums (_harmonics).  One engine,
-_plane_harmonics, gives every plane its spectrum-weighted harmonics
-H_q = sum_w weight_w C_q(b_w) and its a = 2*pi/(d*M).  Each observable is
-a cosine sum sum_q w_q cos(q*a*x) over them, taken by one step (_series)
-with w = (H_0, 2*H_1, 2*H_2, ...): the intensity and the carpet of one
-node, and the slit rate with the slit factor folded in.  The revival
-search (analysis) correlates H_q with the grating's own harmonics.  On
-an evenly spaced grid of P positions the sum is a chirp-z transform, one
-FFT convolution of about 2*trunc + P points (_chirp_z); scalars and other
-positions cost 2*trunc cosines each.
+the autocorrelation of c, the inverse FFT of its power spectrum.  One
+engine, _plane_harmonics, gives every plane H_q = sum_w weight_w C_q(b_w),
+one inverse FFT of the nodes' weighted power spectra, and a = 2*pi/(d*M).
+Each observable is a cosine sum sum_q w_q cos(q*a*x) over them, taken by
+one step (_series) with w = (H_0, 2*H_1, ...): the intensity and the
+carpet of one node, and the slit rate with the slit factor folded in.
+The revival search (analysis) correlates H_q with the grating's own
+harmonics.  On an evenly spaced grid of P positions the sum is a chirp-z
+transform, one FFT convolution of about 2*trunc + P points (_chirp_z);
+scalars and other positions cost 2*trunc cosines each.
 """
 
 from __future__ import annotations
@@ -49,25 +49,27 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _harmonics(grating: GratingSpec, b,
-               length: int | None = None) -> np.ndarray:
-    """Intensity harmonics C_q = sum_n c_{n+q} conj(c_n) for q = 0..2*trunc.
-
-    c_n = A_n exp(i*n^2*b).  b may be a scalar or an array; each value of
-    b gives one row of C_q, and the FFTs run row-wise along the last axis.
-    The FFT, zero-padded to length = _fast_length(4*trunc + 1) points
-    (computed here unless the caller passes it), holds the circular
-    autocorrelation |F|^2 of the 2*trunc + 1 coefficients without
-    wrapping.  A_-n = A_n makes c even in n and so C_q real; the rounding
-    residue of the imaginary part is dropped.
-    """
+def _power_spectra(grating: GratingSpec, b, length: int) -> np.ndarray:
+    """|F|^2 on length points of the zero-padded chirped coefficients c_n,
+    n = -trunc..trunc, one row per value of b.  A_-n = A_n makes c even in
+    n, so the chirps of n >= 0 are mirrored.  |F|^2 is made in the FFT's
+    array: a fresh array of its size costs page faults on every call."""
     ns, amps = coefficient_table(grating)
-    if length is None:
-        length = _fast_length(4 * grating.trunc + 1)
-    chirped = amps * np.exp(np.multiply.outer(1j * np.asarray(b), ns * ns))
-    spectrum = np.fft.fft(chirped, length)
-    power = spectrum.real ** 2 + spectrum.imag ** 2
-    return np.fft.ifft(power)[..., :ns.size].real
+    half = amps[grating.trunc:] * np.exp(
+        np.multiply.outer(1j * np.asarray(b), ns[grating.trunc:] ** 2))
+    spectrum = np.fft.fft(np.concatenate([half[..., :0:-1], half], axis=-1),
+                          length)
+    power = np.square(spectrum.real, out=spectrum.real)
+    power += np.square(spectrum.imag, out=spectrum.imag)
+    return power
+
+
+def _harmonics(grating: GratingSpec, b: float) -> np.ndarray:
+    """Intensity harmonics C_q, q = 0..2*trunc, at one b: the inverse FFT
+    of _power_spectra on _fast_length(4*trunc + 1) points, enough for the
+    autocorrelation not to wrap; the real part, as c even makes C_q real."""
+    power = _power_spectra(grating, b, _fast_length(4 * grating.trunc + 1))
+    return np.fft.ifft(power)[:2 * grating.trunc + 1].real
 
 
 def _uniform_step(xs: np.ndarray):
@@ -177,10 +179,10 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
 
 def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     """Spectrum-weighted harmonics of the planes zs, in blocks (rows, harm,
-    a) in order.  rows is the slice of zs a block covers, harm[i] =
-    sum_w weight_w * C_q(b_w(z_i)) over grid's (wavelength, weight) nodes
-    in order, b = pi*lam*z_eff/d^2, and a[i] = 2*pi/(d*M(z_i)).  This is
-    the one sizing of passes over planes: a block, and each _harmonics
+    a) in order: rows is the slice of zs a block covers, harm[i] = sum_w
+    weight_w * C_q(b_w(z_i)), one inverse FFT of the nodes' weighted power
+    spectra summed row by row in node order, and a[i] = 2*pi/(d*M(z_i)).
+    The one sizing of passes over planes: a block, and each _power_spectra
     call in it, holds as many node x plane rows as SCRATCH_BUDGET allows.
     """
     if len(grid) == 0:
@@ -199,11 +201,13 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     planes = rows // nodes
     for lo in range(0, zs.size, planes):
         block = slice(lo, lo + planes)
-        harm = np.zeros((a[block].size, 2 * grating.trunc + 1))
+        total = 0.0
         for n0 in range(0, len(lams), nodes):
-            parts = _harmonics(grating, bs[n0:n0 + nodes, block], length)
-            for weight, part in zip(weights[n0:n0 + nodes], parts):
-                harm += weight * part
+            power = _power_spectra(grating, bs[n0:n0 + nodes, block], length)
+            power *= np.reshape(weights[n0:n0 + nodes], (-1, 1, 1))
+            power[0] += total
+            total = power.sum(axis=0)
+        harm = np.fft.ifft(total)[:, :2 * grating.trunc + 1].real
         yield block, harm, a[block]
 
 
@@ -251,7 +255,7 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
 
     grid is a list of (wavelength, weight) nodes; by default it is
     spectral_grid(source), and [(lam, 1.0)] gives the monochromatic rate.
-    The weighted harmonics are summed in node order.
+    The nodes' weighted power spectra are summed before one inverse FFT.
     """
     if grid is None:
         grid = spectral_grid(source)

@@ -133,6 +133,32 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "carpet", "mc", "oracle",
+                                     "analyze"])
+@pytest.mark.parametrize("d", ["1e160", "1e300"])
+def test_period_whose_square_overflows_is_a_domain_error(tmp_path, capsys,
+                                                         command, d):
+    # d*d enters every plane's chirp and the carpet's default z window
+    out = tmp_path / "x.out"
+    seed = ["--seed", "1"] if command == "mc" else []
+    assert main([command, "--d", d, "--out", str(out)] + seed) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: grating period d ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bad_thread_count_is_one_line(tmp_path, capsys):
+    # --threads is read like every other flag: one line naming it, exit 2
+    out = tmp_path / "x.csv"
+    for text in ("abc", "2.5", "0"):
+        assert main(["scan", "--threads", text, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --threads: ")
+        assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_mc_rejects_dwell_beyond_poisson_sampler(tmp_path, capsys):
     # numpy's Poisson sampler refuses means above about 9.2e18; inf is not
     # a number the flag parses

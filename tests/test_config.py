@@ -143,7 +143,7 @@ def _valid_values(draw):
         "spectral_span": draw(st.floats(0.0, 10.0, exclude_min=True)),
         "z0": draw(st.none() | _LENGTHS),
         "delta": draw(st.none() | _LENGTHS),
-        "d": draw(_LENGTHS),
+        "d": draw(st.floats(1e-300, 1e154)),  # d*d must be finite
         "f": f,
         "trunc": trunc,
         "z": draw(_LENGTHS),

@@ -198,6 +198,7 @@ def test_grating_wavenumber():
     dict(d=0.0, f=0.3), dict(d=-1e-3, f=0.3),
     dict(d=D, f=0.0), dict(d=D, f=-0.1), dict(d=D, f=1.1),
     dict(d=D, f=0.3, trunc=-1), dict(d=D, f=5e-324),
+    dict(d=1.4e154, f=0.3),  # d*d overflows
 ])
 def test_grating_rejects_bad_arguments(kw):
     with pytest.raises(DomainError):

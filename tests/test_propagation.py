@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
                         effective_distance, fresnel_intensity, intensity,
                         magnification, polychromatic_rate, revival_distance,
-                        scan, talbot_length, truncated_transmission,
-                        visibility)
+                        scan, spectral_grid, talbot_length,
+                        truncated_transmission, visibility)
 from talbot_sim import propagation
 from talbot_sim.grating import coefficient_table
 from talbot_sim.propagation import (_cosine_sums, _direct_cosine_sums,
@@ -460,17 +460,25 @@ def test_carpet_small_open_fraction_stays_small_in_memory():
     assert peak < 100e6
 
 
+# Node weights.  A subnormal weight keeps only a few bits of
+# weight * |F|^2, so a sum taken before the inverse FFT cannot match one
+# taken after it to a bound relative to H_0; such weights are not drawn.
+_WEIGHTS = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
 @settings(max_examples=60, deadline=None)
-@given(nodes=st.lists(st.tuples(st.floats(600e-9, 1000e-9),
-                                st.floats(0.0, 1.0)), min_size=1, max_size=5),
+@given(nodes=st.lists(st.tuples(st.floats(600e-9, 1000e-9), _WEIGHTS),
+                      min_size=1, max_size=5),
        zs=st.lists(st.floats(1e-3, 0.4), min_size=1, max_size=20),
        point=st.booleans(), rows=st.integers(1, 30))
 def test_plane_harmonics_is_the_node_order_sum(nodes, zs, point, rows):
     # the blocks cover the planes in order, each within the budget (rows
-    # per _harmonics call); each row is the weighted node sum, in node
-    # order, bit for bit, however the budget splits the nodes x planes
-    # blocks; and a carpet row, batched with the others, is intensity at
-    # its z
+    # per _power_spectra call); the power spectra are summed in node
+    # order, so a row does not move a bit however the budget splits the
+    # nodes x planes blocks; each row is the weighted node sum of the
+    # single-node harmonics to rounding (one inverse FFT of the summed
+    # spectra against one per node); and a carpet row, batched with the
+    # others, is intensity at its z
     src = point_source() if point else plane_source()
     g = baseline_grating(f=0.3, trunc=40)
     budget = rows * propagation._DOUBLES_PER_POINT * _row_points(g)
@@ -481,19 +489,67 @@ def test_plane_harmonics_is_the_node_order_sum(nodes, zs, point, rows):
     assert all(len(h) <= max(1, rows // len(nodes)) for _, h, _ in blocks)
     harm = np.concatenate([h for _, h, _ in blocks])
     a = np.concatenate([ab for _, _, ab in blocks])
+    whole = list(_plane_harmonics(src, g, nodes, zs))
+    assert len(whole) == 1
+    assert np.array_equal(harm, whole[0][1])
     assert harm.shape == (len(zs), 2 * g.trunc + 1)
     for i, z in enumerate(zs):
         want = np.zeros(2 * g.trunc + 1)
         for lam, weight in nodes:
             b = math.pi * lam * effective_distance(z, src.z0) / D ** 2
             want += weight * _harmonics(g, b)
-        assert np.array_equal(harm[i], want)
+        assert np.max(np.abs(harm[i] - want)) <= 1e-14 * want[0]
         assert a[i] == g.k_d / magnification(z, src.z0)
     xs = np.linspace(-D, D, 33)
     planes = sorted(set(zs))
     carp = carpet(src, g, xs, planes)
     for row, z in zip(carp.values, planes):
         assert np.array_equal(row, intensity(xs, LAMBDA0, src, g, z))
+
+
+def _pair_sum(grating, grid, zeff):
+    """H_q = sum_w weight_w sum_n A_{n+q} A_n cos(q*(2n + q)*b_w), pair by
+    pair: the diagonal q of the matrix A_m A_n cos((m^2 - n^2)*b)."""
+    ns, amps = coefficient_table(grating)
+    lags = np.subtract.outer(ns * ns, ns * ns).T
+    harm = np.zeros(ns.size)
+    for lam, weight in grid:
+        b = math.pi * lam * zeff / grating.d ** 2
+        pairs = np.outer(amps, amps) * np.cos(lags * b)
+        harm += weight * np.array([np.trace(pairs, offset=q)
+                                   for q in range(ns.size)])
+    return harm
+
+
+@settings(max_examples=60, deadline=None)
+@given(trunc=st.integers(0, 40), f=st.floats(0.001, 1.0),
+       nodes=st.lists(st.tuples(st.floats(600e-9, 1000e-9), _WEIGHTS),
+                      min_size=1, max_size=41),
+       z=st.floats(1e-3, 0.4), point=st.booleans())
+def test_plane_harmonics_match_direct_pair_sums(trunc, f, nodes, z, point):
+    src = point_source() if point else plane_source()
+    g = baseline_grating(f=f, trunc=trunc)
+    [(_, harm, _)] = _plane_harmonics(src, g, nodes, [z])
+    want = _pair_sum(g, nodes, effective_distance(z, src.z0))
+    assert np.max(np.abs(harm[0] - want)) <= 1e-13 * want[0]
+
+
+def test_plane_harmonics_take_one_inverse_fft_per_block():
+    # the 41 nodes' power spectra are summed before the one inverse FFT of
+    # their block, whether the planes fit one block or seven
+    src = point_source(beta=beta_from_fwhm(FWHM))
+    grid = spectral_grid(src)
+    assert len(grid) == 41
+    g = baseline_grating(f=0.1)
+    zs = np.linspace(0.05, 0.3, 20)
+    for budget, count in ((propagation.SCRATCH_BUDGET, 1),
+                          (3 * 41 * propagation._DOUBLES_PER_POINT
+                           * _row_points(g), 7)):
+        with mock.patch.object(propagation, "SCRATCH_BUDGET", budget), \
+                mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
+            blocks = list(_plane_harmonics(src, g, grid, zs))
+        assert len(blocks) == count
+        assert ifft.call_count == count
 
 
 def test_split_blocks_leave_carpet_and_revival_unchanged():
