@@ -2,23 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
-import math
-
 import numpy as np
 
 from .errors import DomainError
-from .model import (GratingSpec, Pattern, SourceSpec, array_length,
-                    effective_distance)
-from .propagation import (_MIN_ROW_POINTS, _fast_length, _harmonics,
-                          _plane_harmonics)
-
-# Orders kept while the revival search locates the main lobe: the lobe
-# narrows roughly as 1/trunc^2, and the default coarse grid stops
-# resolving it above about 80 orders (at 200 it lands on a sidelobe).
-_SEARCH_TRUNC = 80
-
-REVIVAL_STEPS = 64  # default coarse grid of the revival search
+from .model import GratingSpec, Pattern, SourceSpec
 
 
 def visibility(pattern: Pattern) -> float:
@@ -69,122 +56,78 @@ def fringe_width_fraction(pattern: Pattern, period: float) -> float:
     return float(np.mean(widths)) / period
 
 
-def _reference(grating: GratingSpec):
-    """The grating profile's harmonics R_q and its norm _structure(R)."""
-    ref = _harmonics(grating, 0.0)
-    return ref, float(_structure(ref))
 
 
-def _revival_scorer(lam: float, source: SourceSpec, grating: GratingSpec,
-                    reference=None):
-    """Return scores(zs): for each distance in zs, the best normalized
-    cross-correlation between the pattern there and the squared grating
-    profile, over all lateral shifts within a period.
 
-    Both signals are real, even and periodic, so they are their harmonics:
-    C_q from _plane_harmonics for the plane at z, and R_q = C_q at b = 0
-    for the profile (Berry & Klein, J. Mod. Opt. 43, 2139, 1996).  The
-    magnification only stretches the pattern and drops out.  The mean-free
-    correlation at shift phi (in periods) is sum_{q>=1} C_q R_q
-    cos(2*pi*q*phi) over sqrt(sum C_q^2 * sum R_q^2); one irfft per plane
-    evaluates it on max(256, 2*_fast_length(2*trunc + 1)) shifts: even, so
-    phi = 1/2 is on the grid, and above 4*trunc, so harmonic 2*trunc is
-    below its Nyquist bin.  A plane or profile whose standard deviation
-    sqrt(2*sum C_q^2) is at rounding level against its mean C_0 scores 0.
-    reference is _reference(grating), for a caller that has it already.
+def _simplest_fraction(side) -> tuple[int, int]:
+    """The first p/q > 0 of the Stern-Brocot descent with side(p, q) == 0.
+
+    side(p, q) is -1 below an interval, 0 in it and 1 above it, and does
+    not fall as p/q rises.  The first fraction the descent meets in the
+    interval has both the smallest q and the smallest p of any in it.
+    Each run of steps to one side, a continued-fraction term, is taken
+    by doubling and bisection.
     """
-    size = max(_MIN_ROW_POINTS, 2 * _fast_length(2 * grating.trunc + 1))
-    ref, ref_norm = reference or _reference(grating)
-
-    def scores(zs) -> np.ndarray:
-        out = np.zeros(len(zs))
-        for rows, harm, _ in _plane_harmonics(source, grating, [(lam, 1.0)],
-                                              zs):
-            norm = _structure(harm) * ref_norm
-            cross = harm * ref
-            cross[:, 0] = 0.0
-            # irfft returns (2/size) * sum_q cross_q cos(2*pi*q*m/size)
-            peak = np.fft.irfft(cross, size).max(axis=1) * (size / 2.0)
-            np.divide(peak, norm, out=out[rows], where=norm > 0.0)
-        return out
-
-    return scores
-
-
-def _structure(harm: np.ndarray) -> np.ndarray:
-    """sqrt(sum_{q>=1} C_q^2) along the last axis, or 0 where the signal's
-    standard deviation sqrt(2*sum C_q^2) is rounding noise against C_0."""
-    norm = np.sqrt(np.sum(harm[..., 1:] ** 2, axis=-1))
-    return np.where(math.sqrt(2.0) * norm <= 1e-9 * np.abs(harm[..., 0]),
-                    0.0, norm)
-
+    lo, hi = (0, 1), (1, 0)
+    while True:
+        p, q = lo[0] + hi[0], lo[1] + hi[1]
+        where = side(p, q)
+        if where == 0:
+            return p, q
+        # the mediants base + k*step, k >= 1, lie on one side up to some
+        # k; the one after is in the interval or across it
+        (bp, bq), (sp, sq) = (lo, hi) if where < 0 else (hi, lo)
+        k, j = 1, 2
+        while side(bp + j * sp, bq + j * sq) == where:
+            k, j = j, 2 * j
+        while j - k > 1:
+            mid = (k + j) // 2
+            if side(bp + mid * sp, bq + mid * sq) == where:
+                k = mid
+            else:
+                j = mid
+        base = (bp + k * sp, bq + k * sq)
+        lo, hi = (base, hi) if where < 0 else (lo, base)
 
 def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
-                     z_lo: float, z_hi: float,
-                     steps: int = REVIVAL_STEPS) -> float:
-    """Distance in [z_lo, z_hi] where the pattern best reproduces the
-    grating image, allowing a lateral shift (half-period-shifted
-    recurrences count as revivals).
+                     z_lo: float, z_hi: float) -> float:
+    """Distance of the lowest-order Talbot plane in [z_lo, z_hi].
 
-    The score (_revival_scorer) is at most 1, and exactly 1 at any trunc
-    on the self-image planes z_eff = m*d^2/lam, where b = m*pi makes C_q
-    = (+-1)^q R_q (Berry & Klein, J. Mod. Opt. 43, 2139, 1996): at z =
-    z_eff*z0/(z0 - z_eff) for a point source, while z_eff < z0.  The
-    answer is the plane of the smallest m >= 1 in the interval, or else
-    the best plane of the steps-point coarse grid and of dense 65-point
-    windows around its top four distinct maxima (the score rings: a
-    narrow main lobe between tall sidelobes), scored at no more than
-    _SEARCH_TRUNC orders.  A flat grating profile or score landscape
-    raises DomainError.
+    At z_eff = (p/q)*d^2/lam, with p/q in lowest terms, the monochromatic
+    pattern is q shifted copies of the grating image; at p/q = m it is
+    the image itself, shifted half a period for odd m (Berry & Klein,
+    J. Mod. Opt. 43, 2139, 1996).  For a point source the plane lies at
+    z = z_eff*z0/(z0 - z_eff), and there is none once z_eff >= z0.  The
+    answer is the plane of the smallest q in the window, then of the
+    smallest p (_simplest_fraction), so a window that holds a self-image
+    plane returns the one of the smallest m >= 1.  Each candidate's plane
+    is tested in floats against the window, so a window edge that is a
+    plane counts.  A flat grating profile (f = 1 or trunc = 0) has no
+    image to repeat and raises DomainError.
     """
     if lam <= 0:
         raise DomainError("wavelength must be positive")
     if not 0 < z_lo < z_hi:
         raise DomainError("need 0 < z_lo < z_hi")
-    if steps < 16:
-        raise DomainError("steps must be >= 16")
-    # the cap keeps A_1 = sin(pi*f)/pi, the structure this tests for
-    search_grating = grating
-    if grating.trunc > _SEARCH_TRUNC:
-        search_grating = dataclasses.replace(grating, trunc=_SEARCH_TRUNC)
-    ref, ref_norm = _reference(search_grating)
-    if ref_norm == 0.0:
+    if grating.f == 1.0 or grating.trunc == 0:
         raise DomainError("no revival found: grating profile is flat")
-
-    # z(m) rises with m; rounding may put z_lo's own m one off its ceiling
     z0, d2 = source.z0, grating.d ** 2
-    first = math.ceil(effective_distance(z_lo, z0) * lam / d2)
-    for m in range(max(1, first - 1), first + 2):
-        zeff = m * d2 / lam
+
+    def plane(p: int, q: int):
+        """z of the plane of p/q, or None where z_eff >= z0."""
+        zeff = p * d2 / (q * lam)
         if z0 is None:
-            z = zeff
-        else:  # no plane once z_eff >= z0
-            z = zeff * z0 / (z0 - zeff) if zeff < z0 else math.nan
-        if z >= z_lo:
-            break
-    if z_lo <= z <= z_hi:
-        return z
+            return zeff
+        return zeff * z0 / (z0 - zeff) if zeff < z0 else None
 
-    scores = _revival_scorer(lam, source, search_grating, (ref, ref_norm))
-    zs = np.linspace(z_lo, z_hi, array_length(steps, "search planes"))
-    coarse = scores(zs)
-    if coarse.max() - coarse.min() < 1e-6:
-        raise DomainError("no revival found: correlation landscape is flat")
-    spacing = (z_hi - z_lo) / (steps - 1)
+    def side(p: int, q: int) -> int:
+        # past 2**53 a double no longer tells p/q from its neighbours
+        if max(p, q) > 2 ** 53:
+            raise DomainError("no revival found: no plane in the window is "
+                              "resolved in double precision")
+        z = plane(p, q)
+        if z is None or z > z_hi:
+            return 1
+        return -1 if z < z_lo else 0
 
-    # distinct coarse candidates: grid maxima at least two steps apart
-    order = np.argsort(coarse)[::-1]
-    candidates: list[int] = []
-    for idx in order:
-        if all(abs(idx - c) >= 2 for c in candidates):
-            candidates.append(int(idx))
-        if len(candidates) == 4:
-            break
-
-    dense = np.concatenate([
-        np.linspace(max(z_lo, zs[idx] - 2.0 * spacing),
-                    min(z_hi, zs[idx] + 2.0 * spacing), 65)
-        for idx in candidates])
-    vals = scores(dense)
-    i = int(np.argmax(vals))
-    return float(dense[i] if vals[i] > coarse[order[0]] else zs[order[0]])
+    return plane(*_simplest_fraction(side))

@@ -147,7 +147,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pattern = _scan_curve(cfg)
     period = cfg.d * pattern.meta["magnification"]
     revival = revival_distance(cfg.source(), cfg.grating(), cfg.lambda0,
-                               cfg.z_lo, cfg.z_hi, steps=cfg.z_steps)
+                               cfg.z_lo, cfg.z_hi)
     lines = echo_lines(cfg, args.keys) + [
         f"visibility = {fmt(visibility(pattern))}",
         f"fringe_fraction = {fmt(fringe_width_fraction(pattern, period))}",

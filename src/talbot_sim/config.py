@@ -9,11 +9,11 @@ duplicates are reported with file and line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from .analysis import REVIVAL_STEPS
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grating import SlmProfile
 from .model import (NORM_COLUMN_MAX_ONE, NORM_RAW, SPECTRAL_SAMPLES,
                     SPECTRAL_SPAN, DetectionSpec, GratingSpec, SourceSpec,
@@ -106,7 +106,8 @@ class RunConfig:
     # analyze
     z_lo: Optional[float] = _auto("revival search start", "0.8*z")
     z_hi: Optional[float] = _auto("revival search end", "1.3*z")
-    z_steps: int = _key(REVIVAL_STEPS, parse_int, "revival search grid size")
+    z_steps: int = _key(64, parse_int, "ignored: the revival search "
+                        "has no grid (kept for old command lines)")
     # mc
     seed: Optional[int] = _key(None, _or("none", parse_int),
                                "RNG seed, an integer 0 to 2**64 - 1")
@@ -210,10 +211,15 @@ _DERIVED = {
 
 def resolve(config: RunConfig, keys=CONFIG_KEYS) -> RunConfig:
     """config with each derived key among keys that is None set to its
-    derived default."""
-    return replace(config, **{key: _DERIVED[key](config) for key in keys
-                              if key in _DERIVED
-                              and getattr(config, key) is None})
+    derived default; a default that overflows a double is a DomainError
+    that names its key."""
+    derived = {key: _DERIVED[key](config) for key in keys
+               if key in _DERIVED and getattr(config, key) is None}
+    for key, value in derived.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{key} = auto resolves to {value}, which "
+                              f"is not finite")
+    return replace(config, **derived)
 
 
 def _echo_value(value) -> str:

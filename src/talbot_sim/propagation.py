@@ -10,10 +10,9 @@ one inverse FFT of the nodes' weighted power spectra, and a = 2*pi/(d*M).
 Each observable is a cosine sum sum_q w_q cos(q*a*x) over them, taken by
 one step (_series) with w = (H_0, 2*H_1, ...): the intensity and the
 carpet of one node, and the slit rate with the slit factor folded in.
-The revival search (analysis) correlates H_q with the grating's own
-harmonics.  On an evenly spaced grid of P positions the sum is a chirp-z
-transform, one FFT convolution of about 2*trunc + P points (_chirp_z);
-scalars and other positions cost 2*trunc cosines each.
+On an evenly spaced grid of P positions the sum is a chirp-z transform,
+one FFT convolution of about 2*trunc + P points (_chirp_z); scalars and
+other positions cost 2*trunc cosines each.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW,
                     shaped_like, spectral_grid)
 
 # Scratch doubles per row and per FFT point: the complex chirp, spectrum
-# and product rows and their real temporaries (tracemalloc reads about 9
-# in the revival scorer at trunc 8000, 10 to 11 in a chirp-z pass).  Rows
-# cost at least _MIN_ROW_POINTS, the revival scorer's smallest shift grid.
-_DOUBLES_PER_POINT, _MIN_ROW_POINTS = 12, 256
+# and product rows and their real temporaries (tracemalloc reads 10 to 11
+# in a chirp-z pass).
+_DOUBLES_PER_POINT = 12
 
 
 def _fast_length(n: int) -> int:
@@ -183,7 +181,8 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     weight_w * C_q(b_w(z_i)), one inverse FFT of the nodes' weighted power
     spectra summed row by row in node order, and a[i] = 2*pi/(d*M(z_i)).
     The one sizing of passes over planes: a block, and each _power_spectra
-    call in it, holds as many node x plane rows as SCRATCH_BUDGET allows.
+    call in it, holds as many node x plane rows as SCRATCH_BUDGET allows
+    at _DOUBLES_PER_POINT doubles per point of a row's FFT.
     """
     if len(grid) == 0:
         raise DomainError("spectral grid is empty")
@@ -195,8 +194,7 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     bs = np.multiply.outer(math.pi * np.array(lams), zeff) / (grating.d ** 2)
     a = grating.k_d / magnification(zs, source.z0)
     length = _fast_length(4 * grating.trunc + 1)
-    points = max(_MIN_ROW_POINTS, length)
-    rows = max(1, SCRATCH_BUDGET // (_DOUBLES_PER_POINT * points))
+    rows = max(1, SCRATCH_BUDGET // (_DOUBLES_PER_POINT * length))
     nodes = min(len(lams), rows)
     planes = rows // nodes
     for lo in range(0, zs.size, planes):

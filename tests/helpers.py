@@ -114,5 +114,6 @@ def sampled_revival_score(z, lam, source, g, samples_per_period=256,
     pat = pat - pat.mean()
     ref = ref - ref.mean()
     norm = np.sqrt(float(pat @ pat) * float(ref @ ref))
-    rolled = np.stack([np.roll(ref, shift) for shift in range(s)])
+    # row shift is np.roll(ref, shift), gathered by index in one step
+    rolled = ref[(np.arange(s) - np.arange(s)[:, np.newaxis]) % s]
     return float((rolled @ pat).max() / norm)

@@ -124,9 +124,7 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
     for argv in (["scan", "--f", "0"],
                  ["scan", "--scan-start=1e300", "--scan-end=1e301"],
                  ["carpet", "--x-count", huge], ["oracle", "--points", huge],
-                 ["mask", "--width-px", huge],
-                 ["analyze", "--f", "0.001", "--z-lo=80mm", "--z-hi=130mm",
-                  "--z-steps", huge]):
+                 ["mask", "--width-px", huge]):
         assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -145,6 +143,17 @@ def test_period_whose_square_overflows_is_a_domain_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: grating period d ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_derived_window_that_overflows_is_a_domain_error(tmp_path, capsys):
+    # d*d is finite but d*d/lambda0 is not, so the carpet's auto z window
+    # would be inf: the key is named before any array is made
+    out = tmp_path / "x.csv"
+    assert main(["carpet", "--d", "1e154", "--trunc", "50",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: z_min = auto ") and err.count("\n") == 1
     assert not out.exists()
 
 
