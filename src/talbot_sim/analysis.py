@@ -56,9 +56,6 @@ def fringe_width_fraction(pattern: Pattern, period: float) -> float:
     return float(np.mean(widths)) / period
 
 
-
-
-
 def _simplest_fraction(side) -> tuple[int, int]:
     """The first p/q > 0 of the Stern-Brocot descent with side(p, q) == 0.
 
@@ -88,6 +85,7 @@ def _simplest_fraction(side) -> tuple[int, int]:
                 j = mid
         base = (bp + k * sp, bq + k * sq)
         lo, hi = (base, hi) if where < 0 else (lo, base)
+
 
 def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
                      z_lo: float, z_hi: float) -> float:

@@ -41,8 +41,12 @@ def _require(cond: bool, msg: str) -> None:
 def array_length(count, what: str) -> int:
     """int(count) if numpy can size an array of that many 8-byte values (it
     checks before it allocates), else DomainError naming what."""
-    _require(count < np.iinfo(np.intp).max // 8,
-             f"too many {what} for one array: {count:.6g}")
+    if not count < np.iinfo(np.intp).max // 8:
+        try:
+            shown = f"{count:.6g}"
+        except OverflowError:  # an int beyond the double range
+            shown = "over 1e308"
+        raise DomainError(f"too many {what} for one array: {shown}")
     return int(count)
 
 
@@ -106,6 +110,7 @@ class GratingSpec:
         _require(int(self.trunc) == self.trunc, "trunc must be an integer")
         object.__setattr__(self, "trunc", int(self.trunc))
         _require(self.trunc >= 0, "trunc must be >= 0")
+        array_length(2 * self.trunc + 1, "diffraction orders")
 
     @property
     def k_d(self) -> float:

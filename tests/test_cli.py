@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import talbot_sim
+from talbot_sim import cli
 from talbot_sim.cli import build_parser, main
 from talbot_sim.config import CONFIG_KEYS
 
@@ -119,12 +120,14 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
 def test_exit_code_for_domain_problems(tmp_path, capsys):
     out = tmp_path / "x.csv"
     # numpy refuses every array length after the first run's before
-    # allocating: each is 2**63 or more
+    # allocating: each is 2**63 or more, the order counts 2*trunc + 1
+    # included (auto trunc at f = 1e-300 is 8e300)
     huge = "20000000000000000000"
     for argv in (["scan", "--f", "0"],
                  ["scan", "--scan-start=1e300", "--scan-end=1e301"],
                  ["carpet", "--x-count", huge], ["oracle", "--points", huge],
-                 ["mask", "--width-px", huge]):
+                 ["mask", "--width-px", huge], ["scan", "--f", "1e-300"],
+                 ["scan", "--trunc", "1e30"], ["carpet", "--trunc", "1e19"]):
         assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -232,12 +235,16 @@ def test_only_oracle_imports_scipy(tmp_path):
                                    + ["--out", out + "/o.csv"]) == 0
         assert "scipy" in sys.modules, "oracle ran without scipy"
     """)
-    src = str(Path(talbot_sim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _package_env():
+    # a fresh interpreter that imports the package under test
+    src = str(Path(talbot_sim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 @pytest.mark.parametrize("command", list(QUICK))
@@ -246,6 +253,46 @@ def test_single_subcommand_parser_matches_full(tmp_path, command):
                              "--f", "0.3"]
     assert (build_parser(command).parse_args(argv)
             == build_parser().parse_args(argv))
+
+
+def test_reused_parsers_leave_no_state(tmp_path, capsys, monkeypatch):
+    # one process's runs in a row, each against a fresh interpreter's: a
+    # refused flag, --help, scan at two flag sets and the first again,
+    # carpet and oracle
+    runs = [["scan", "--no-such-flag"], ["--help"], QUICK["scan"],
+            ["scan", "--f", "0.3", "--spectral-samples", "5",
+             "--scan-step", "24um"], QUICK["scan"], QUICK["carpet"],
+            QUICK["oracle"]]
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps at
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command)
+                        or build_parser(command))
+    cli._parser.cache_clear()
+    for i, argv in enumerate(runs):
+        writes = argv != ["--help"]
+        paths = [tmp_path / f"{i}-in", tmp_path / f"{i}-fresh"]
+        full = [argv + ["--out", str(path)] * writes for path in paths]
+        try:
+            code = main(full[0])
+        except SystemExit as exit_:
+            code = exit_.code
+        stdout, stderr = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "talbot_sim.cli",
+                                *full[1]],
+                               env=_package_env(), capture_output=True,
+                               timeout=120)
+        assert (code, stdout.encode(), stderr.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        made = [path.exists() for path in paths]
+        assert made == [writes and code == 0] * 2, argv
+        if all(made):
+            assert paths[0].read_bytes() == paths[1].read_bytes(), argv
+    # each parser was built on its first call alone; build_parser itself
+    # still builds anew
+    assert built == ["scan", None, "carpet", "oracle"]
+    assert build_parser() is not build_parser()
+    assert build_parser("scan") is not build_parser("scan")
 
 
 def test_top_level_messages_name_every_subcommand(capsys):

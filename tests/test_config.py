@@ -134,8 +134,9 @@ def _valid_values(draw):
                                       max_size=2, unique=True)))
     f = draw(st.floats(0.0, 1.0, exclude_min=True))
     trunc = draw(st.none() | st.integers(0, 10 ** 6))
-    # trunc = auto needs a finite 8/f (test_grating_rejects_bad_arguments)
-    assume(trunc is not None or 8.0 / f < math.inf)
+    # trunc = auto needs 2*ceil(8/f) + 1 orders that numpy can size
+    # (test_grating_rejects_bad_arguments)
+    assume(trunc is not None or 8.0 / f < 2 ** 58)
     return {
         "lambda0": draw(_LENGTHS),
         "fwhm": draw(st.just(0.0) | _LENGTHS),

@@ -199,6 +199,9 @@ def test_grating_wavenumber():
     dict(d=D, f=0.0), dict(d=D, f=-0.1), dict(d=D, f=1.1),
     dict(d=D, f=0.3, trunc=-1), dict(d=D, f=5e-324),
     dict(d=1.4e154, f=0.3),  # d*d overflows
+    # 2*trunc + 1 orders, more than numpy can size
+    dict(d=D, f=1e-300), dict(d=D, f=0.3, trunc=10**19),
+    dict(d=D, f=0.3, trunc=1e30), dict(d=D, f=0.3, trunc=int(1.7e308)),
 ])
 def test_grating_rejects_bad_arguments(kw):
     with pytest.raises(DomainError):
