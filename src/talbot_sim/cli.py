@@ -21,7 +21,7 @@ from .csvio import (write_carpet_csv, write_mc_csv, write_oracle_csv,
                     write_scan_csv)
 from .errors import ConfigError, DomainError, ResolutionCapError
 from .grating import render_slm_mask, write_pgm
-from .model import array_length
+from .model import GratingSpec, array_length
 from .montecarlo import RNG_ID, simulate_scan
 from .oracle import fresnel_intensity
 from .propagation import carpet, intensity, scan
@@ -116,7 +116,10 @@ def cmd_carpet(args: argparse.Namespace) -> int:
 
 def cmd_mask(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    write_pgm(args.out, render_slm_mask(cfg.grating(), cfg.slm()))
+    # render_slm_mask reads only d and f; trunc 0 spares the grating the
+    # order count that trunc = auto would size, and refuse, from f
+    grating = GratingSpec(d=cfg.d, f=cfg.f, trunc=0)
+    write_pgm(args.out, render_slm_mask(grating, cfg.slm()))
     return EXIT_OK
 
 
@@ -133,6 +136,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     source, grating = cfg.source(), cfg.grating()
+    if cfg.points >= 2 and not cfg.x_min < cfg.x_max:
+        raise DomainError(f"x_min = {fmt(cfg.x_min)} m must be below "
+                          f"x_max = {fmt(cfg.x_max)} m for {cfg.points} "
+                          f"probe positions")
     xs = _grid(cfg.x_min, cfg.x_max, cfg.points, "probe positions")
     analytic = intensity(xs, cfg.lambda0, source, grating, cfg.z)
     numeric = fresnel_intensity(xs, cfg.lambda0, source, grating, cfg.z,

@@ -11,8 +11,9 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-from talbot_sim import (DetectionSpec, GratingSpec, SourceSpec, intensity,
-                        magnification, truncated_transmission)
+from talbot_sim import (DetectionSpec, GratingSpec, SourceSpec,
+                        effective_distance, intensity, magnification,
+                        truncated_transmission)
 
 LAMBDA0 = 810e-9
 D = 360e-6
@@ -90,6 +91,37 @@ def mp_fresnel_field(x, lam, source, g, z, dps=30):
             if b > a:
                 total += mp.quad(integrand, mp.linspace(a, b, 5))
         return complex(mp.sqrt(1j / lam) / z * total)
+
+
+def scipy_fresnel_field(xs, lam, source, g, z):
+    """The oracle's window rule with E(u) from scipy.special.fresnel.
+
+    Each open window [lo, hi] in [-delta, delta] adds (C - iS)(u) at
+    u = scale (hi - c) less the same at u = scale (lo - c), c = x Z/z,
+    as the oracle sums them; only the Fresnel integrals differ.
+    """
+    from scipy.special import fresnel
+
+    xs = np.asarray(xs, dtype=float)
+    half_open = g.f * g.d / 2
+    reach = int(math.ceil(source.delta / g.d)) + 1
+    centres = np.arange(-reach, reach + 1) * g.d
+    lo = np.maximum(centres - half_open, -source.delta)
+    hi = np.minimum(centres + half_open, source.delta)
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    k = 2 * math.pi / lam
+    z_red = effective_distance(z, source.z0)
+    scale = math.sqrt(2 / (lam * z_red))
+    if source.z0 is None:
+        centers, phase = xs, k * math.fmod(z, lam)
+    else:
+        centers = xs * (z_red / z)
+        phase = (k * (math.fmod(z, lam) + math.fmod(source.z0, lam))
+                 + k * xs ** 2 / (2 * (z + source.z0)))
+    s_hi, c_hi = fresnel(scale * np.subtract.outer(hi, centers))
+    s_lo, c_lo = fresnel(scale * np.subtract.outer(lo, centers))
+    sums = (c_hi - c_lo).sum(axis=0) - 1j * (s_hi - s_lo).sum(axis=0)
+    return np.sqrt(1j / lam) / (z * scale) * np.exp(-1j * phase) * sums
 
 
 def sampled_revival_score(z, lam, source, g, samples_per_period=256,

@@ -221,19 +221,16 @@ def test_threads_env_fallback(tmp_path, command):
     assert not (tmp_path / "c").exists()
 
 
-def test_only_oracle_imports_scipy(tmp_path):
-    # scipy is imported by the oracle alone, so every other subcommand
-    # skips its import time
+def test_no_subcommand_imports_scipy(tmp_path):
+    # scipy is a test dependency only: with its import made to fail, every
+    # subcommand still runs
     script = textwrap.dedent(f"""
         import sys
-        import talbot_sim, talbot_sim.cli
+        sys.modules["scipy"] = None
+        import talbot_sim.cli
         out = {str(tmp_path)!r}
-        for argv in ({QUICK["scan"]!r}, {QUICK["mask"]!r}):
-            assert talbot_sim.cli.main(argv + ["--out", out + "/x"]) == 0
-        assert "scipy" not in sys.modules, "scipy imported before oracle"
-        assert talbot_sim.cli.main({QUICK["oracle"]!r}
-                                   + ["--out", out + "/o.csv"]) == 0
-        assert "scipy" in sys.modules, "oracle ran without scipy"
+        for name, argv in {QUICK!r}.items():
+            assert talbot_sim.cli.main(argv + ["--out", out + "/" + name]) == 0
     """)
     proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
                           capture_output=True, text=True, timeout=120)
@@ -381,6 +378,16 @@ def test_mask_rejects_period_off_the_pixel_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("f", ["1e-3", "1e-17", "5e-324"])
+def test_mask_reads_only_d_and_f(tmp_path, f):
+    # an opening below one pixel leaves the mask all closed, however few
+    # orders trunc = auto would keep for it: the mask never sums them
+    out = tmp_path / "mask.pgm"
+    assert main(["mask", "--f", f, "--width-px", "64", "--height-px", "8",
+                 "--out", str(out)]) == 0
+    assert set(np.unique(read_pgm(out))) == {0}
+
+
 def test_carpet_matrix_layout(tmp_path):
     out = tmp_path / "carpet.csv"
     assert main(["carpet", "--x-count", "16", "--z-count", "8",
@@ -414,6 +421,31 @@ def test_oracle_reports_max_error(tmp_path, capsys):
     rows = _data_lines(out)
     assert rows[0] == "x,analytic,oracle,relative_error"
     assert len(rows) == 1 + 5
+
+
+@pytest.mark.parametrize("x_min, x_max, points", [("1mm", "0", "129"),
+                                                  ("1mm", "1mm", "3")])
+def test_oracle_refuses_a_window_that_does_not_increase(tmp_path, capsys,
+                                                        x_min, x_max, points):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--x-min", x_min, "--x-max", x_max, "--points",
+                 points, "--out", str(out)] + FAST) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "x_min" in err[0] and "x_max" in err[0]
+    assert not out.exists()
+    # one probe needs no window
+    assert main(["oracle", "--x-min", x_min, "--x-max", x_max, "--points",
+                 "1", "--out", str(out)] + FAST) == 0
+
+
+def test_oracle_with_no_open_width_is_a_domain_error(tmp_path, capsys):
+    # f*d/2 underflows to 0 m: no window is open, the field is 0 and the
+    # two curves cannot be compared; the window search used to spin
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--f", "5e-324", "--points", "3",
+                 "--out", str(out)] + FAST) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
 
 
 def _window_read(path, command):

@@ -12,19 +12,25 @@ when both keep the same orders, and two causes separate them:
   f - sum A_n**2, 1.27% of it at the default 80 orders.
 
 These tests pin the window rule against an mpmath quadrature, symmetry,
-the 1/z energy scaling, and both causes.
+the 1/z energy scaling, and both causes, and the oracle's Fresnel kernel
+against mpmath and scipy.special.fresnel.
 """
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from talbot_sim import (DomainError, ResolutionCapError,
                         binary_transmission, fresnel_field,
-                        fresnel_intensity, intensity)
+                        fresnel_intensity, intensity, oracle)
 
-from helpers import (D, LAMBDA0, TALBOT, baseline_detection,
+from helpers import (D, LAMBDA0, TALBOT, Z0, baseline_detection,
                      baseline_grating, mp_fresnel_field, plane_source,
-                     point_source)
+                     point_source, scipy_fresnel_field)
 
 PROBES = np.array([-250e-6, -90e-6, 0.0, 60e-6, 210e-6])
 
@@ -176,3 +182,106 @@ def test_field_rejects_bad_arguments():
         fresnel_field(0.0, -LAMBDA0, src, g, 0.16)
     with pytest.raises(DomainError):
         fresnel_field(0.0, LAMBDA0, src, g, 0.0)
+
+
+def _kernel_values(u):
+    """E(u) = C(u) + i S(u) from each branch of the oracle's kernel whose
+    domain holds u: the Taylor table to |u| = 12, the asymptotic series
+    from |u| = 8."""
+    us = np.array([u])
+    values = []
+    if abs(u) <= 12:
+        c, s = oracle._taylor(us)
+        values.append(complex(c[0], s[0]))
+    if abs(u) >= oracle._ASYMPTOTIC_FROM:
+        c, s = oracle._asymptotic(us)
+        half = math.copysign(0.5, u)
+        values.append(complex(c[0] + half, s[0] + half))
+    return values
+
+
+def _kernel_bound(u):
+    # a relative error eps in u moves E by eps*|u|, since |E'| = 1; u^2
+    # rounds to about as much, so no double kernel can do much better
+    return 2e-15 + 2e-16 * np.abs(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.one_of(st.floats(-12.0, 12.0), st.floats(-3e4, 3e4)))
+@example(u=0.0).via("the origin")
+@example(u=1 / 128).via("halfway between two table centres")
+@example(u=-8.0).via("where the series takes over")
+@example(u=11.5).via("the table's reach from the oracle's rows")
+@example(u=12.0).via("the table's last centre")
+@example(u=3e4).via("the far end")
+def test_fresnel_kernel_matches_mpmath(u):
+    with mp.workdps(30):
+        ref = complex(mp.fresnelc(u), mp.fresnels(u))
+    values = _kernel_values(u)
+    assert values
+    for got in values:
+        assert abs(got - ref) <= _kernel_bound(u)
+
+
+def test_taylor_centres_do_not_drift():
+    # each centre's E is the previous one's plus a step of the series; the
+    # compensated sum keeps all 769 of them within 8e-16 of E (a plain
+    # running sum drifts to 1.2e-15 by |u| = 12)
+    centres = np.arange(0, 12 * 64 + 1) / 64
+    c, s = oracle._taylor(centres)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.fresnelc(u), mp.fresnels(u))
+                        for u in centres])
+    assert np.max(np.abs(c + 1j * s - ref)) <= 8e-16
+
+
+def test_fresnel_kernel_matches_scipy():
+    # both sit within _kernel_bound of E, so within twice it of each other
+    from scipy.special import fresnel
+
+    rng = np.random.default_rng(23)
+    us = np.concatenate([np.linspace(-12, 12, 24_577),
+                         rng.uniform(-100, 100, 20_000),
+                         rng.uniform(-3e4, 3e4, 20_000)])
+    s_ref, c_ref = fresnel(us)
+    near = np.abs(us) <= 12
+    far = np.abs(us) >= oracle._ASYMPTOTIC_FROM
+    c, s = oracle._taylor(us[near])
+    assert np.all(np.abs(c - c_ref[near]) <= 2 * _kernel_bound(us[near]))
+    assert np.all(np.abs(s - s_ref[near]) <= 2 * _kernel_bound(us[near]))
+    c, s = oracle._asymptotic(us[far])
+    half = np.copysign(0.5, us[far])
+    assert np.all(np.abs(c + half - c_ref[far])
+                  <= 2 * _kernel_bound(us[far]))
+    assert np.all(np.abs(s + half - s_ref[far])
+                  <= 2 * _kernel_bound(us[far]))
+
+
+@pytest.mark.parametrize("source, z, points", [
+    (point_source(), 0.16, 129),
+    (plane_source(delta=1e-3), TALBOT, 65),
+    (plane_source(delta=10e-3), TALBOT, 65),
+    (plane_source(delta=20e-3), TALBOT, 65),
+    (plane_source(delta=20e-3), 2 * TALBOT, 65),
+], ids=["default", "1mm-L", "10mm-L", "20mm-L", "20mm-2L"])
+def test_oracle_keeps_the_scipy_route(source, z, points):
+    # the default oracle run and the benchmark's four oracle geometries:
+    # the intensities stay within 1e-12 of peak of the same window rule
+    # summed over scipy.special.fresnel
+    g = baseline_grating(f=0.1)
+    xs = np.linspace(-D, D, points)
+    ref = np.abs(scipy_fresnel_field(xs, LAMBDA0, source, g, z)) ** 2
+    got = fresnel_intensity(xs, LAMBDA0, source, g, z)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_probe_order_and_blocks_do_not_change_the_field():
+    # probes go in blocks of ascending centres, at most 3.5 apart in u
+    # (about 0.9 mm here); a shuffled window that needs several blocks
+    # gives each probe the field it gets alone
+    g = baseline_grating(f=0.1)
+    src = point_source(z0=Z0, delta=5e-3)
+    xs = np.random.default_rng(5).permutation(np.linspace(-3e-3, 3e-3, 41))
+    together = fresnel_field(xs, LAMBDA0, src, g, 0.16)
+    alone = np.array([fresnel_field(x, LAMBDA0, src, g, 0.16) for x in xs])
+    assert np.max(np.abs(together - alone)) <= 1e-13 * np.max(np.abs(alone))
