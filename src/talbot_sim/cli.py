@@ -83,8 +83,12 @@ def _check_threads(args: argparse.Namespace) -> None:
         raise ConfigError(f"argument --threads: {err}") from None
 
 
-def _grid(lo: float, hi: float, count: int, what: str) -> np.ndarray:
-    return np.linspace(lo, hi, array_length(count, what))
+def _grid(cfg: RunConfig, lo: str, hi: str, count: int, what: str):
+    start, stop = getattr(cfg, lo), getattr(cfg, hi)
+    if count >= 2 and not start < stop:
+        raise DomainError(f"{lo} = {fmt(start)} m must be below {hi} = "
+                          f"{fmt(stop)} m for {count} {what}")
+    return np.linspace(start, stop, array_length(count, what))
 
 
 def _scan_curve(cfg: RunConfig):
@@ -107,8 +111,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_carpet(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     carp = carpet(cfg.source(), cfg.grating(),
-                  _grid(cfg.x_min, cfg.x_max, cfg.x_count, "x samples"),
-                  _grid(cfg.z_min, cfg.z_max, cfg.z_count, "z samples"),
+                  _grid(cfg, "x_min", "x_max", cfg.x_count, "x samples"),
+                  _grid(cfg, "z_min", "z_max", cfg.z_count, "z samples"),
                   norm=cfg.norm)
     write_carpet_csv(args.out, carp, echo_lines(cfg, args.keys))
     return EXIT_OK
@@ -136,11 +140,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     source, grating = cfg.source(), cfg.grating()
-    if cfg.points >= 2 and not cfg.x_min < cfg.x_max:
-        raise DomainError(f"x_min = {fmt(cfg.x_min)} m must be below "
-                          f"x_max = {fmt(cfg.x_max)} m for {cfg.points} "
-                          f"probe positions")
-    xs = _grid(cfg.x_min, cfg.x_max, cfg.points, "probe positions")
+    xs = _grid(cfg, "x_min", "x_max", cfg.points, "probe positions")
     analytic = intensity(xs, cfg.lambda0, source, grating, cfg.z)
     numeric = fresnel_intensity(xs, cfg.lambda0, source, grating, cfg.z,
                                 max_windows=cfg.max_steps)

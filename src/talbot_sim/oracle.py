@@ -51,7 +51,9 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResolutionCapError
-from .model import GratingSpec, SourceSpec, effective_distance, shaped_like
+from .model import (GratingSpec, SourceSpec, array_length, effective_distance,
+                    shaped_like)
+from .units import fmt
 
 # Budget of open windows per field evaluation.  The widest aperture the
 # test suite integrates, 31.25 m at d = 360 um, opens about 1.7e5.
@@ -172,38 +174,29 @@ def _window_edges(g: GratingSpec, half_width: float,
     """Edges of the open grating windows clipped to [-W, W], ascending:
     each window's lower edge, then its upper one.
 
+    Window k spans k d +- f d/2.  The aperture is symmetric about 0, so the
+    open windows, those with k d - f d/2 < W, are k = -K..K, where
+    K = ceil((W + f d/2)/d) - 1 up to a rounding that this test, in floats,
+    on K - 1, K and K + 1 settles.  A fully open grating is one window.
+
     Raises ResolutionCapError, before any array is built, when more than
     max_windows windows are open.
     """
     if g.f == 1.0:
-        k_lo = k_hi = 0
-        half_open = half_width
+        last, half_open = 0.0, half_width
     else:
         half_open = g.f * g.d / 2.0
-        if half_open == 0.0:
-            # f*d/2 underflows: no window has any width, and the search
-            # below would never find one
-            return np.empty(0)
-
-        def is_open(k: int) -> bool:
-            return (min(k * g.d + half_open, half_width)
-                    > max(k * g.d - half_open, -half_width))
-
-        # the open windows are the contiguous run of periods k that
-        # overlap the aperture; only the outermost candidates can miss it
-        k_lo = math.floor((-half_width - half_open) / g.d)
-        k_hi = math.ceil((half_width + half_open) / g.d)
-        while not is_open(k_lo):
-            k_lo += 1
-        while not is_open(k_hi):
-            k_hi -= 1
-    count = k_hi - k_lo + 1
-    if count > max_windows:
+        last = float(np.ceil((half_width + half_open) / g.d)) - 1.0
+        last += np.count_nonzero((last + np.array([-1.0, 0.0, 1.0])) * g.d
+                                 - half_open < half_width) - 2
+    count = 2.0 * last + 1.0
+    if not count <= max_windows:
+        shown = f"{count:.6g}" if count < math.inf else "over 1e308"
         raise ResolutionCapError(
-            f"oracle resolution: {count} open windows in the aperture, "
+            f"oracle resolution: {shown} open windows in the aperture, "
             f"cap is {max_windows}")
-    edges = np.add.outer(np.arange(k_lo, k_hi + 1) * g.d,
-                         (-half_open, half_open)).ravel()
+    ks = np.arange(array_length(count, "open grating windows")) - int(last)
+    edges = np.add.outer(ks * g.d, (-half_open, half_open)).ravel()
     return np.minimum(np.maximum(edges, -half_width), half_width)
 
 
@@ -226,7 +219,7 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
     """Complex field at lateral position x on the plane at distance z.
 
     Raises ResolutionCapError when the aperture holds more than
-    max_windows open grating windows.
+    max_windows open grating windows, DomainError when a phase overflows.
     """
     if lam <= 0:
         raise DomainError("wavelength must be positive")
@@ -240,13 +233,19 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
     k = 2.0 * math.pi / lam
     z_red = effective_distance(z, source.z0)
     scale = math.sqrt(2.0 / (lam * z_red))
+    centers = xs * (z_red / z)
+    # |u| <= scale (max |centre| + W); a point source's phase holds k x^2
+    far = float(np.abs(xs).max(initial=0.0))
+    u_far = scale * (far * (z_red / z) + source.delta)
+    if not (math.isfinite(u_far * u_far)
+            and (source.z0 is None or math.isfinite(k * far * far))):
+        raise DomainError(f"Fresnel phase overflows a double: |x| up to "
+                          f"{fmt(far)} m, delta = {fmt(source.delta)} m")
     # k*z is the piston phase modulo 2 pi; fmod is exact, so reducing the
     # distance by whole wavelengths first keeps the phase to full precision
     if source.z0 is None:
-        centers = xs
         phase = np.full(xs.shape, k * math.fmod(z, lam))
     else:
-        centers = xs * (z_red / z)
         phase = (k * (math.fmod(z, lam) + math.fmod(source.z0, lam))
                  + k * xs ** 2 / (2.0 * (z + source.z0)))
 

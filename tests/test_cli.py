@@ -438,13 +438,64 @@ def test_oracle_refuses_a_window_that_does_not_increase(tmp_path, capsys,
                  "1", "--out", str(out)] + FAST) == 0
 
 
+@pytest.mark.parametrize("window", [["--x-min=1mm", "--x-max=0"],
+                                    ["--z-min=0.3", "--z-max=0.1"]])
+def test_carpet_refuses_a_window_that_does_not_increase(tmp_path, capsys,
+                                                        monkeypatch, window):
+    # refused before the raster is computed, naming both keys
+    def no_raster(*args, **kwargs):
+        raise AssertionError("the raster was computed")
+
+    monkeypatch.setattr(cli, "carpet", no_raster)
+    out = tmp_path / "carpet.csv"
+    assert main(["carpet", "--out", str(out)] + window) == 3
+    err = capsys.readouterr().err.splitlines()
+    keys = [flag[2:].split("=")[0].replace("-", "_") for flag in window]
+    assert len(err) == 1 and all(key in err[0] for key in keys)
+    assert not out.exists()
+
+
 def test_oracle_with_no_open_width_is_a_domain_error(tmp_path, capsys):
-    # f*d/2 underflows to 0 m: no window is open, the field is 0 and the
-    # two curves cannot be compared; the window search used to spin
+    # f*d/2 underflows to 0 m: every window has zero width, the field is 0
+    # and the two curves cannot be compared
     out = tmp_path / "oracle.csv"
     assert main(["oracle", "--f", "5e-324", "--points", "3",
                  "--out", str(out)] + FAST) == 3
     assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta, count", [("1e12", "5.55556e+15"),
+                                          ("1e308", "over 1e308")])
+def test_oracle_refuses_a_wide_aperture_at_once(tmp_path, delta, count):
+    # d is below one ulp of W = 1e12 m, and (W + f*d/2)/d overflows at
+    # W = 1e308 m; a fresh interpreter runs each under a timeout, so a run
+    # that does not end fails
+    out = tmp_path / "oracle.csv"
+    proc = subprocess.run([sys.executable, "-m", "talbot_sim.cli", "oracle",
+                           "--delta", delta, "--out", str(out)],
+                          env=dict(_package_env(), PYTHONWARNINGS="error"),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [
+        f"error: oracle resolution: {count} open windows in the aperture, "
+        f"cap is 1000000"]
+    assert not out.exists()
+
+
+# |u| reaches about 5e303 at x = 1e300 m, and u*u overflows; at 5e150 m
+# and z = 2L, u*u is finite but a point source's phase k*x**2 is not
+@pytest.mark.parametrize("x_max, flags", [("1e300", []),
+                                          ("1e300", ["--z0=none"]),
+                                          ("5e150", ["--z", "320mm"])])
+def test_oracle_refuses_probes_whose_phase_overflows(tmp_path, capsys,
+                                                     x_max, flags):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", f"--x-max={x_max}", "--points", "3", "--trunc",
+                 "5", "--out", str(out)] + flags) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: Fresnel phase overflows a double: |x| up to {float(x_max):g}")
     assert not out.exists()
 
 
