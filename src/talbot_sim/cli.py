@@ -3,7 +3,7 @@
 Subcommands: scan, carpet, mask, mc, oracle, analyze.  Values may come
 from flags, a --config file, or the built-in baseline, in that order of
 precedence.  Exit codes: 0 success, 2 configuration problem, 3 physics
-domain error, 4 oracle window budget exceeded.
+domain error, 4 oracle window budget exceeded or an allocation refused.
 """
 
 from __future__ import annotations
@@ -235,6 +235,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ResolutionCapError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_RESOLUTION
+    except MemoryError as err:
+        # numpy's names the size it could not allocate; a bare one is empty
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOLUTION
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """CSV output with a fixed number format, so identical runs produce
-byte-identical files."""
+byte-identical files.  A table's data lines are formatted in one
+operation: one %-template over all of its values."""
 
 from __future__ import annotations
 
@@ -11,14 +12,16 @@ from .units import DATA_FORMAT, fmt
 
 
 def _write_table(path, comments, header, *columns) -> None:
-    """Write the comment lines, the header line and one line per row of
-    the columns, each value in the fixed fmt format."""
-    row_format = ",".join([DATA_FORMAT] * len(columns))
-    lines = [*comments, header]
-    lines.extend(row_format % tuple(row)
-                 for row in np.column_stack(columns).tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the comment lines and the header line verbatim, then one line
+    per row of the columns (1-D arrays, or 2-D blocks of columns), each
+    value in the fixed fmt format."""
+    table = np.column_stack(columns)
+    line = ",".join([DATA_FORMAT] * table.shape[1]).encode() + b"\n"
+    # free text, so never through the template, where a % would format
+    text = "\n".join([*comments, header]) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def _x_over_d(pattern: Pattern) -> np.ndarray:
@@ -36,8 +39,9 @@ def write_scan_csv(path, pattern: Pattern, comments=()) -> None:
 
 def write_carpet_csv(path, carp: Carpet, comments=()) -> None:
     """Write an intensity raster: first row the x axis, first column z."""
-    _write_table(path, comments, "," + ",".join(fmt(x) for x in carp.x_axis),
-                 carp.z_axis, *carp.values.T)
+    xs = carp.x_axis.tolist()
+    _write_table(path, comments, "," + ",".join([DATA_FORMAT] * len(xs))
+                 % tuple(xs), carp.z_axis, carp.values)
 
 
 def write_mc_csv(path, pattern: Pattern, comments=()) -> None:
@@ -62,7 +66,8 @@ def write_oracle_csv(path, xs, analytic, oracle, comments=()) -> float:
     a_peak = float(analytic.max())
     o_peak = float(oracle.max())
     if a_peak <= 0 or o_peak <= 0:
-        raise DomainError("cannot compare curves with non-positive peaks")
+        raise DomainError(f"cannot compare curves with non-positive peaks: "
+                          f"analytic {fmt(a_peak)}, oracle {fmt(o_peak)}")
     err = np.abs(analytic / a_peak - oracle / o_peak)
     _write_table(path, comments, "x,analytic,oracle,relative_error",
                  xs, analytic, oracle, err)

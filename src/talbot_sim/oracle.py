@@ -194,7 +194,7 @@ def _window_edges(g: GratingSpec, half_width: float,
         shown = f"{count:.6g}" if count < math.inf else "over 1e308"
         raise ResolutionCapError(
             f"oracle resolution: {shown} open windows in the aperture, "
-            f"cap is {max_windows}")
+            f"cap is {max_windows:.6g}")
     ks = np.arange(array_length(count, "open grating windows")) - int(last)
     edges = np.add.outer(ks * g.d, (-half_open, half_open)).ravel()
     return np.minimum(np.maximum(edges, -half_width), half_width)
@@ -219,20 +219,26 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
     """Complex field at lateral position x on the plane at distance z.
 
     Raises ResolutionCapError when the aperture holds more than
-    max_windows open grating windows, DomainError when a phase overflows.
+    max_windows open grating windows, DomainError when the Fresnel scale
+    is not a finite positive number or a phase overflows.
     """
     if lam <= 0:
         raise DomainError("wavelength must be positive")
     if z <= 0:
         raise DomainError("propagation distance must be positive")
+    z_red = effective_distance(z, source.z0)
+    spread = lam * z_red
+    if not (spread > 0 and 0 < 2.0 / spread < math.inf):
+        raise DomainError(f"Fresnel scale sqrt(2/(lambda0*z)) is not a "
+                          f"finite positive number: lambda0 = {fmt(lam)} m, "
+                          f"z = {fmt(z)} m")
+    scale = math.sqrt(2.0 / spread)
     xs = np.asarray(x, dtype=float).ravel()
     edges = _window_edges(g, source.delta, max_windows)
     # each window adds E at its upper edge and subtracts it at its lower
     signs = np.ones(edges.size)
     signs[::2] = -1.0
     k = 2.0 * math.pi / lam
-    z_red = effective_distance(z, source.z0)
-    scale = math.sqrt(2.0 / (lam * z_red))
     centers = xs * (z_red / z)
     # |u| <= scale (max |centre| + W); a point source's phase holds k x^2
     far = float(np.abs(xs).max(initial=0.0))

@@ -111,14 +111,15 @@ def _chirp_z(weights: np.ndarray, nu: np.ndarray, x0: float, step: float,
     v_q = w_q exp(2*pi*i*(q*nu*x0 + t*q^2/2)) and k_m = exp(-i*pi*t*m^2):
     a linear convolution, computed by FFTs of length >= Q + count - 1
     (Bluestein 1970; Rabiner, Schafer & Rader 1969).  When every row has
-    the same t (a plane wave's carpet) the rows share one kernel.  Phases
-    are taken in turns (_turns) and multiplied by 2*pi only after the
-    reduction.
+    the same nu (a plane wave's carpet, any one plane) the rows share one
+    kernel and one phase row exp(2*pi*i*(q*nu*x0 + t*q^2/2)), which
+    broadcasts against the weights.  Phases are taken in turns (_turns)
+    and multiplied by 2*pi only after the reduction.
     """
     size = weights.shape[1]
+    if np.all(nu == nu[0]):
+        nu = nu[:1]
     half = nu * step / 2.0
-    if np.all(half == half[0]):
-        half = half[:1]
     m = np.arange(max(size, count), dtype=float)
     square = _turns(half, m * m)
     chirp = np.exp(-2j * np.pi * square)
@@ -199,12 +200,18 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     planes = rows // nodes
     for lo in range(0, zs.size, planes):
         block = slice(lo, lo + planes)
-        total = 0.0
-        for n0 in range(0, len(lams), nodes):
-            power = _power_spectra(grating, bs[n0:n0 + nodes, block], length)
-            power *= np.reshape(weights[n0:n0 + nodes], (-1, 1, 1))
-            power[0] += total
-            total = power.sum(axis=0)
+        if weights == (1.0,):
+            # one node of weight 1 (every monochromatic call): its power
+            # spectra are the block total, with no node arithmetic
+            total = _power_spectra(grating, bs[0, block], length)
+        else:
+            total = 0.0
+            for n0 in range(0, len(lams), nodes):
+                power = _power_spectra(grating, bs[n0:n0 + nodes, block],
+                                       length)
+                power *= np.reshape(weights[n0:n0 + nodes], (-1, 1, 1))
+                power[0] += total
+                total = power.sum(axis=0)
         harm = np.fft.ifft(total)[:, :2 * grating.trunc + 1].real
         yield block, harm, a[block]
 

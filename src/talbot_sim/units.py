@@ -82,7 +82,7 @@ def parse_int(text: str) -> int:
 
 
 # Data-column float format: 12 significant digits.  A %-template, so that
-# csvio formats a whole row in one operation.
+# csvio formats a whole table in one operation.
 DATA_FORMAT = "%.12g"
 
 

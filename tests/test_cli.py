@@ -127,7 +127,13 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
                  ["scan", "--scan-start=1e300", "--scan-end=1e301"],
                  ["carpet", "--x-count", huge], ["oracle", "--points", huge],
                  ["mask", "--width-px", huge], ["scan", "--f", "1e-300"],
-                 ["scan", "--trunc", "1e30"], ["carpet", "--trunc", "1e19"]):
+                 ["scan", "--trunc", "1e30"], ["carpet", "--trunc", "1e19"],
+                 # lambda0*z underflows to 0, so the Fresnel scale is inf
+                 ["oracle", "--lambda0", "1e-200", "--z", "1e-200"],
+                 ["oracle", "--lambda0", "1e-200", "--z", "1e-200",
+                  "--z0=none"],
+                 # the oracle's field underflows to 0
+                 ["oracle", "--lambda0", "1e200", "--z", "1e200"]):
         assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -479,7 +485,26 @@ def test_oracle_refuses_a_wide_aperture_at_once(tmp_path, delta, count):
     assert proc.returncode == 4
     assert proc.stderr.splitlines() == [
         f"error: oracle resolution: {count} open windows in the aperture, "
-        f"cap is 1000000"]
+        f"cap is 1e+06"]
+    assert not out.exists()
+
+
+# a raised cap lets 5.6e15 windows through to an allocation of 39.5 PiB,
+# which malloc refuses at once; at W = 1e300 m the count is over the cap
+@pytest.mark.parametrize("delta, line", [
+    ("1e12", "error: Unable to allocate 39.5 PiB for an array with shape "
+             "(5555555555555555,) and data type int64"),
+    ("1e300", "error: oracle resolution: 5.55556e+303 open windows in the "
+              "aperture, cap is 1e+300")])
+def test_oracle_with_a_raised_cap_exits_4_in_one_line(tmp_path, delta, line):
+    out = tmp_path / "oracle.csv"
+    proc = subprocess.run([sys.executable, "-m", "talbot_sim.cli", "oracle",
+                           "--delta", delta, "--max-steps", "1e300",
+                           "--out", str(out)],
+                          env=dict(_package_env(), PYTHONWARNINGS="error"),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [line]
     assert not out.exists()
 
 

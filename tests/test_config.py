@@ -301,6 +301,8 @@ def test_fmt_round_trips():
 @example(5e-324)
 @example(1e22)
 def test_fmt_is_the_row_template(v):
-    # csvio formats whole rows through a "%.12g" template, which must spell
-    # every double exactly as fmt and format(v, ".12g") do
+    # csvio formats a whole table in one operation through a bytes
+    # "%.12g" template, which must spell every double exactly as fmt and
+    # format(v, ".12g") do
     assert "%.12g" % v == fmt(v) == format(v, ".12g")
+    assert (b"%.12g" % v).decode() == fmt(v)

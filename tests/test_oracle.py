@@ -17,6 +17,7 @@ against mpmath and scipy.special.fresnel.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -182,6 +183,12 @@ def test_field_rejects_bad_arguments():
         fresnel_field(0.0, -LAMBDA0, src, g, 0.16)
     with pytest.raises(DomainError):
         fresnel_field(0.0, LAMBDA0, src, g, 0.0)
+    # lambda0*z underflows to 0 or overflows to inf, so sqrt(2/(lambda0*z))
+    # is not a finite positive number
+    for lam, z in ((1e-200, 1e-200), (1e200, 1e200)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"lambda0 = {lam:g} m, z = {z:g} m")):
+            fresnel_field(0.0, lam, src, g, z)
 
 
 def _kernel_values(u):

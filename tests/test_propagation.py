@@ -433,6 +433,25 @@ def test_chirp_z_matches_scipy_czt():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 8), trunc=st.integers(0, 100),
+       count=st.integers(2, 200), start=st.floats(-1e-3, 1e-3),
+       step=st.floats(1e-8, 1e-5), z=st.floats(1e-3, 0.4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_sharing_a_match_row_by_row_cosine_sums(rows, trunc, count,
+                                                     start, step, z, seed):
+    # a block of rows with one a (a plane wave's carpet) shares the chirp-z
+    # kernel and phase row; each row may not move a bit against its sum
+    # taken alone
+    weights = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                  (rows, 2 * trunc + 1))
+    a = baseline_grating().k_d / magnification(z, Z0)
+    xs = start + step * np.arange(count)
+    block = _cosine_sums(weights, np.full(rows, a), xs)
+    alone = np.concatenate([_cosine_sums(w, a, xs) for w in weights])
+    assert np.array_equal(block, alone)
+
+
 @pytest.mark.parametrize("x_count, z_count", [(1, 5), (2, 5), (33, 1),
                                               (33, 9)])
 @pytest.mark.parametrize("norm", ["raw", "per-column-max-one"])
@@ -514,6 +533,22 @@ def test_plane_harmonics_is_the_node_order_sum(nodes, zs, point, rows):
     carp = carpet(src, g, xs, planes)
     for row, z in zip(carp.values, planes):
         assert np.array_equal(row, intensity(xs, LAMBDA0, src, g, z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(600e-9, 1000e-9), lam2=st.floats(600e-9, 1000e-9),
+       zs=st.lists(st.floats(1e-3, 0.4), min_size=1, max_size=20),
+       point=st.booleans(), trunc=st.integers(0, 60))
+def test_one_node_harmonics_are_the_node_sum(lam, lam2, zs, point, trunc):
+    # one node of weight 1 skips the node sum; a second node of weight 0
+    # takes it, and adds nothing to a single bit
+    src = point_source() if point else plane_source()
+    g = baseline_grating(f=0.3, trunc=trunc)
+    one = list(_plane_harmonics(src, g, [(lam, 1.0)], zs))
+    two = list(_plane_harmonics(src, g, [(lam, 1.0), (lam2, 0.0)], zs))
+    for k in (1, 2):
+        assert np.array_equal(np.concatenate([b[k] for b in one]),
+                              np.concatenate([b[k] for b in two]))
 
 
 def _pair_sum(grating, grid, zeff):
