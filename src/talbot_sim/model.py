@@ -241,6 +241,10 @@ def magnification(z, z0: Optional[float] = None):
     if z0 is None:
         return shaped_like(z, np.ones_like(z))
     _require(z0 > 0, "z0 must be positive when given")
+    top = float(z.max())
+    if not math.isfinite(1.0 + top / z0):
+        raise DomainError(f"magnification 1 + z/z0 overflows a double: "
+                          f"z = {top:g} m, z0 = {z0:g} m")
     return shaped_like(z, 1.0 + z / z0)
 
 
@@ -266,6 +270,15 @@ def spectral_grid(source: SourceSpec, samples: int = SPECTRAL_SAMPLES,
         return [(source.lambda0, 1.0)]
     half = samples // 2
     step = span * source.beta / half
+    # the outermost nodes, lambda0 + half*step and (half*step/beta)^2 in
+    # the weight, as the arrays below form them
+    reach = half * step
+    ratio = reach / source.beta
+    if not (math.isfinite(source.lambda0 + reach)
+            and math.isfinite(ratio * ratio)):
+        fwhm = 2.0 * math.sqrt(math.log(2.0)) * source.beta
+        raise DomainError(f"spectral grid overflows a double: span = "
+                          f"{span:g}, fwhm = {fwhm:g} m")
     # integer offsets keep the grid exactly symmetric about lambda0
     offsets = np.arange(-half, half + 1) * step
     lams = source.lambda0 + offsets

@@ -14,7 +14,8 @@ from .errors import DomainError
 from .model import NORM_MAX_ONE, NORM_RAW, Pattern
 
 # Counter-based generator keyed by the seed; stream i starts at counter
-# offset i * 2**128, which is what Philox.jumped(i) gives.
+# offset i * 2**128, which is what Philox.jumped(i) gives: the key's start
+# state with counter word 2 set to i.
 RNG_ID = "numpy.random.Philox, per-point streams via jumped(point_index)"
 
 _U64_MAX = 2 ** 64 - 1
@@ -30,8 +31,9 @@ def simulate_scan(curve: Pattern, seed: int,
     curve is the peak-normalized Pattern that scan() returns; it is
     scaled by events_per_point, and each point's count is Poisson with
     that mean, with sqrt(count) recorded as its shot-noise bar.  One
-    generator serves every point: it is rewound to the key's start and
-    advanced to point i's stream before point i draws.
+    generator serves every point: before point i draws, it is set to the
+    start of stream i, the key's start state with counter word 2 set to i
+    (Salmon et al., SC'11).
     """
     if curve.norm != NORM_MAX_ONE:
         raise DomainError(f"simulate_scan samples a {NORM_MAX_ONE} curve, "
@@ -45,10 +47,15 @@ def simulate_scan(curve: Pattern, seed: int,
     bits = np.random.Philox(key=seed)
     gen = np.random.Generator(bits)
     start = bits.state
+    # the state setter reads Python ints about twice as fast as the
+    # getter's numpy array items
+    start["state"] = {k: v.tolist() for k, v in start["state"].items()}
+    start["buffer"] = start["buffer"].tolist()
+    counter = start["state"]["counter"]
     counts = np.empty(means.size)
     for i, mean in enumerate(means):
+        counter[2] = i
         bits.state = start
-        bits.advance(i << 128)
         counts[i] = gen.poisson(mean)
     errors = np.sqrt(counts)
     meta = {

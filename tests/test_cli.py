@@ -133,7 +133,17 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
                  ["oracle", "--lambda0", "1e-200", "--z", "1e-200",
                   "--z0=none"],
                  # the oracle's field underflows to 0
-                 ["oracle", "--lambda0", "1e200", "--z", "1e200"]):
+                 ["oracle", "--lambda0", "1e200", "--z", "1e200"],
+                 # the chirp phase b*trunc^2 is not finite: lambda0*z
+                 # overflows, d^2 underflows to 0, b overflows, n^2*b does
+                 ["oracle", "--z0=none", "--lambda0", "1e200", "--z", "1e200"],
+                 ["scan", "--d=1e-300"],
+                 ["mc", "--lambda0=1e300", "--d=1e-6", "--seed", "1"],
+                 ["mc", "--z0=0.3", "--lambda0=1e300", "--seed", "1"],
+                 # the magnification 1 + z/z0 overflows
+                 ["carpet", "--z0=1e-200", "--z-max=1e200"],
+                 # so does the square of the outermost spectral node's offset
+                 ["scan", "--spectral-span=1e200", "--fwhm=1e6"]):
         assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talbot_sim import (DomainError, Pattern, beta_from_fwhm, scan,
                         simulate_scan, spectral_grid)
@@ -104,6 +106,23 @@ def test_point_streams_are_reproducible_and_distinct():
 def test_counts_are_the_reference_point_streams(seed, events):
     # means on both sides of numpy's switch of Poisson sampler at 10
     pat = _run(seed=seed, events=events)
+    means = pat.meta["expected_means"]
+    expected = [point_rng(seed, i).poisson(m) for i, m in enumerate(means)]
+    assert np.array_equal(pat.values, expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       events=st.floats(-12.0, 18.0).map(lambda e: 10.0 ** e),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=30))
+def test_counts_are_the_reference_point_streams_for_any_curve(seed, events,
+                                                              fractions):
+    # a zero, a mean of at most 3 and the peak in one max-one curve: once
+    # events exceed 10, means on both sides of numpy's sampler switch at 10
+    values = np.array([0.0, min(1.0, 3.0 / events), 1.0] + fractions)
+    curve = Pattern(positions=np.arange(values.size, dtype=float),
+                    values=values, norm="max-one")
+    pat = simulate_scan(curve, seed, events)
     means = pat.meta["expected_means"]
     expected = [point_rng(seed, i).poisson(m) for i, m in enumerate(means)]
     assert np.array_equal(pat.values, expected)
