@@ -18,7 +18,6 @@ from .grating import SlmProfile
 from .model import (NORM_COLUMN_MAX_ONE, NORM_RAW, SPECTRAL_SAMPLES,
                     SPECTRAL_SPAN, DetectionSpec, GratingSpec, SourceSpec,
                     beta_from_fwhm, spectral_grid, talbot_length)
-from .oracle import DEFAULT_MAX_WINDOWS
 from .units import fmt_exact, parse_float, parse_int, parse_length
 
 
@@ -101,8 +100,6 @@ class RunConfig:
     z_count: int = _key(128, _count, "z samples")
     norm: str = _key(NORM_RAW, _norm, f"{NORM_RAW} or {NORM_COLUMN_MAX_ONE}")
     points: int = _key(129, _count, "probe positions")
-    max_steps: int = _key(DEFAULT_MAX_WINDOWS, _count, "cap on the open "
-                          "grating windows integrated per field evaluation")
     # analyze
     z_lo: Optional[float] = _auto("revival search start", "0.8*z")
     z_hi: Optional[float] = _auto("revival search end", "1.3*z")

@@ -14,14 +14,16 @@ from .units import DATA_FORMAT, fmt
 def _write_table(path, comments, header, *columns) -> None:
     """Write the comment lines and the header line verbatim, then one line
     per row of the columns (1-D arrays, or 2-D blocks of columns), each
-    value in the fixed fmt format."""
+    value in the fixed fmt format.  Every byte is formed before the file
+    is opened, so a run refused on the way (a MemoryError) leaves none."""
     table = np.column_stack(columns)
     line = ",".join([DATA_FORMAT] * table.shape[1]).encode() + b"\n"
     # free text, so never through the template, where a % would format
-    text = "\n".join([*comments, header]) + "\n"
+    text = ("\n".join([*comments, header]) + "\n").encode("utf-8")
+    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
     with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
+        fh.write(text)
+        fh.write(body)
 
 
 def _x_over_d(pattern: Pattern) -> np.ndarray:

@@ -3,6 +3,7 @@ the pixel mask that displays it on a spatial light modulator."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,10 @@ def render_slm_mask(g: GratingSpec, profile: SlmProfile | None = None) -> np.nda
             f"period unresolvable: d = {g.d:g} m is below two pixels "
             f"({2 * profile.pixel_pitch:g} m)")
     pixels = g.d / profile.pixel_pitch
+    if not math.isfinite(pixels):
+        raise DomainError(
+            f"period in pixels d/pixel_pitch is not finite: d = {g.d:g} m, "
+            f"pixel_pitch = {profile.pixel_pitch:g} m")
     if abs(pixels - round(pixels)) > 1e-9 * pixels:
         raise DomainError(
             f"period not a whole number of pixels: d = {g.d:g} m is "
@@ -104,11 +109,13 @@ def render_slm_mask(g: GratingSpec, profile: SlmProfile | None = None) -> np.nda
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Store an 8-bit grayscale image as a binary (P5) PGM file."""
+    """Store an 8-bit grayscale image as a binary (P5) PGM file, written
+    from the image's own buffer: no byte is formed once the file is open."""
     if image.ndim != 2 or image.dtype != np.uint8:
         raise DomainError("PGM output expects a 2-D uint8 image")
     h, w = image.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    pixels = np.ascontiguousarray(image)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(image.tobytes())
+        fh.write(pixels)

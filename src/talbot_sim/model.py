@@ -22,9 +22,6 @@ SOURCE_DIVERGENCE_RAD = 0.5e-3
 # Illuminated half-width fallback for collimated (plane wave) runs.
 PLANE_WAVE_DELTA_M = 1.0e-3
 
-# Cap in doubles on the scratch of one engine or oracle pass.
-SCRATCH_BUDGET = 4_000_000
-
 # Default spectral quadrature: odd node count over lambda0 +- span*beta.
 SPECTRAL_SAMPLES, SPECTRAL_SPAN = 41, 3.0
 

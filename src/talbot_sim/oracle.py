@@ -20,7 +20,7 @@ Completing the square with the reduced distance Z = z*z0/(z + z0)
 so each window integrates exactly to a difference of the Fresnel
 integrals C(u) - i S(u) at u = sqrt(2/(lam Z)) (x1 - c) on its edges.
 The work per field evaluation is one such difference per open window;
-max_windows bounds it.
+MAX_WINDOWS bounds it.
 
 The Fresnel integrals E(u) = C(u) + i S(u) = int_0^u exp(i pi t^2/2) dt
 come from a numpy kernel with two branches:
@@ -57,7 +57,7 @@ from .units import fmt
 
 # Budget of open windows per field evaluation.  The widest aperture the
 # test suite integrates, 31.25 m at d = 360 um, opens about 1.7e5.
-DEFAULT_MAX_WINDOWS = 1_000_000
+MAX_WINDOWS = 1_000_000
 
 # |u| from which the asymptotic series serves E(u): there the first terms
 # that _F_SERIES and _G_SERIES drop would add under 3e-18 to f and 3e-17
@@ -169,8 +169,7 @@ def _asymptotic(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, np.negative(f, out=f)
 
 
-def _window_edges(g: GratingSpec, half_width: float,
-                  max_windows: int) -> np.ndarray:
+def _window_edges(g: GratingSpec, half_width: float) -> np.ndarray:
     """Edges of the open grating windows clipped to [-W, W], ascending:
     each window's lower edge, then its upper one.
 
@@ -180,7 +179,7 @@ def _window_edges(g: GratingSpec, half_width: float,
     on K - 1, K and K + 1 settles.  A fully open grating is one window.
 
     Raises ResolutionCapError, before any array is built, when more than
-    max_windows windows are open.
+    MAX_WINDOWS windows are open.
     """
     if g.f == 1.0:
         last, half_open = 0.0, half_width
@@ -190,11 +189,11 @@ def _window_edges(g: GratingSpec, half_width: float,
         last += np.count_nonzero((last + np.array([-1.0, 0.0, 1.0])) * g.d
                                  - half_open < half_width) - 2
     count = 2.0 * last + 1.0
-    if not count <= max_windows:
+    if not count <= MAX_WINDOWS:
         shown = f"{count:.6g}" if count < math.inf else "over 1e308"
         raise ResolutionCapError(
             f"oracle resolution: {shown} open windows in the aperture, "
-            f"cap is {max_windows:.6g}")
+            f"cap is {MAX_WINDOWS:.6g}")
     ks = np.arange(array_length(count, "open grating windows")) - int(last)
     edges = np.add.outer(ks * g.d, (-half_open, half_open)).ravel()
     return np.minimum(np.maximum(edges, -half_width), half_width)
@@ -215,11 +214,11 @@ def _edge_sum(kernel, edges: np.ndarray, signs: np.ndarray,
 
 
 def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
-                  z: float, max_windows: int = DEFAULT_MAX_WINDOWS):
+                  z: float):
     """Complex field at lateral position x on the plane at distance z.
 
     Raises ResolutionCapError when the aperture holds more than
-    max_windows open grating windows, DomainError when the Fresnel scale
+    MAX_WINDOWS open grating windows, DomainError when the Fresnel scale
     is not a finite positive number or a phase overflows.
     """
     if lam <= 0:
@@ -234,7 +233,7 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
                           f"z = {fmt(z)} m")
     scale = math.sqrt(2.0 / spread)
     xs = np.asarray(x, dtype=float).ravel()
-    edges = _window_edges(g, source.delta, max_windows)
+    edges = _window_edges(g, source.delta)
     # each window adds E at its upper edge and subtracts it at its lower
     signs = np.ones(edges.size)
     signs[::2] = -1.0
@@ -281,7 +280,7 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
 
 
 def fresnel_intensity(xs, lam: float, source: SourceSpec, g: GratingSpec,
-                      z: float, max_windows: int = DEFAULT_MAX_WINDOWS):
+                      z: float):
     """|field|^2 at each probe position (probes are independent)."""
-    fields = fresnel_field(xs, lam, source, g, z, max_windows)
+    fields = fresnel_field(xs, lam, source, g, z)
     return shaped_like(xs, np.abs(fields) ** 2)

@@ -23,10 +23,14 @@ import numpy as np
 
 from .errors import DomainError
 from .grating import coefficient_table
-from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW,
-                    SCRATCH_BUDGET, Carpet, DetectionSpec, GratingSpec,
-                    Pattern, SourceSpec, effective_distance, magnification,
-                    shaped_like, spectral_grid)
+from .model import (NORM_COLUMN_MAX_ONE, NORM_MAX_ONE, NORM_RAW, Carpet,
+                    DetectionSpec, GratingSpec, Pattern, SourceSpec,
+                    effective_distance, magnification, shaped_like,
+                    spectral_grid)
+
+# Cap in doubles on the scratch of one engine pass: a block of planes'
+# power spectra, or a pass of cosine sums over positions.
+SCRATCH_BUDGET = 4_000_000
 
 # Scratch doubles per row and per FFT point: the complex chirp, spectrum
 # and product rows and their real temporaries (tracemalloc reads 10 to 11
@@ -60,14 +64,6 @@ def _power_spectra(grating: GratingSpec, b, length: int) -> np.ndarray:
     power = np.square(spectrum.real, out=spectrum.real)
     power += np.square(spectrum.imag, out=spectrum.imag)
     return power
-
-
-def _harmonics(grating: GratingSpec, b: float) -> np.ndarray:
-    """Intensity harmonics C_q, q = 0..2*trunc, at one b: the inverse FFT
-    of _power_spectra on _fast_length(4*trunc + 1) points, enough for the
-    autocorrelation not to wrap; the real part, as c even makes C_q real."""
-    power = _power_spectra(grating, b, _fast_length(4 * grating.trunc + 1))
-    return np.fft.ifft(power)[:2 * grating.trunc + 1].real
 
 
 def _uniform_step(xs: np.ndarray):
@@ -204,6 +200,12 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
                 f"chirp phase b*trunc^2, b = pi*lambda*z_eff/d^2, is not "
                 f"finite: lambda0 = {source.lambda0:g} m, z = {z:g} m, "
                 f"d = {grating.d:g} m, trunc = {grating.trunc}")
+        # a = 2*pi/(d*M) underflows to 0 when the magnified period does not
+        # fit a double, and the slit factor sin(q*a*D/2)/(q*a) becomes 0/0
+        if not math.isfinite(grating.d * magnification(z, source.z0)):
+            raise DomainError(
+                f"magnified period d*(1 + z/z0) is not finite: "
+                f"d = {grating.d:g} m, z = {z:g} m, z0 = {source.z0:g} m")
     zeff = effective_distance(zs, source.z0)
     bs = np.multiply.outer(math.pi * np.array(lams), zeff) / d2
     a = grating.k_d / magnification(zs, source.z0)
@@ -309,19 +311,17 @@ def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
 
 
 def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
-           lam: float | None = None, norm: str = NORM_RAW) -> Carpet:
-    """Monochromatic intensity on a full (z, x) raster.
+           norm: str = NORM_RAW) -> Carpet:
+    """Monochromatic intensity at source.lambda0 on a full (z, x) raster.
 
     Row i holds the pattern at z_grid[i].  With norm="per-column-max-one"
     each x column is rescaled to peak at 1 across z.
     """
-    if lam is None:
-        lam = source.lambda0
     xs = np.asarray(x_grid, dtype=float)
     zs = np.asarray(z_grid, dtype=float)
     if zs.size == 0:
         raise DomainError("carpet z grid is empty")
-    values = _series(source, grating, [(lam, 1.0)], zs, xs)
+    values = _series(source, grating, [(source.lambda0, 1.0)], zs, xs)
     if norm == NORM_COLUMN_MAX_ONE:
         peaks = values.max(axis=0)
         if np.any(peaks <= 0):
@@ -331,4 +331,4 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
         raise DomainError(f"unknown carpet norm {norm!r}")
     return Carpet(x_axis=xs, z_axis=zs, values=values, norm=norm,
                   meta={"source": source, "grating": grating,
-                        "wavelength": lam})
+                        "wavelength": source.lambda0})

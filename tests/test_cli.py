@@ -69,7 +69,7 @@ _FIELD_KEYS = ["--lambda0", "700nm", "--f", "0.35", "--z0", "1.5m",
                               "--z-steps", "32"]),
     ("carpet", _FIELD_KEYS + ["--x-count", "16", "--z-count", "8", "--norm",
                               "per-column-max-one", "--x-min=-100um"]),
-    ("oracle", _FIELD_KEYS + ["--points", "9", "--max-steps", "99"]),
+    ("oracle", _FIELD_KEYS + ["--points", "9"]),
 ], ids=["scan", "mc", "analyze", "carpet", "oracle"])
 def test_scan_round_trips_through_its_own_echo(tmp_path, command, keys):
     first = tmp_path / "first.csv"
@@ -143,7 +143,17 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
                  # the magnification 1 + z/z0 overflows
                  ["carpet", "--z0=1e-200", "--z-max=1e200"],
                  # so does the square of the outermost spectral node's offset
-                 ["scan", "--spectral-span=1e200", "--fwhm=1e6"]):
+                 ["scan", "--spectral-span=1e200", "--fwhm=1e6"],
+                 # and the magnified period d*(1 + z/z0), whose a = 2*pi/(d*M)
+                 # would underflow to 0 and make the slit factor 0/0
+                 ["scan", "--z0=1e-200", "--d=1e154"],
+                 ["mc", "--seed", "1", "--z0=1e-200", "--d=1e154"],
+                 ["analyze", "--z0=1e-200", "--d=1e154"],
+                 ["carpet", "--z0=1e-200", "--d=1e154", "--trunc", "5",
+                  "--z-min", "1", "--z-max", "2"],
+                 # and the period in pixels d/pixel_pitch
+                 ["mask", "--pixel-pitch=5e-324"],
+                 ["mask", "--d=1e10", "--pixel-pitch=1e-300"]):
         assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -200,11 +210,15 @@ def test_mc_rejects_dwell_beyond_poisson_sampler(tmp_path, capsys):
 
 
 def test_exit_code_for_resolution_cap(tmp_path, capsys):
-    # the budget counts open grating windows per field evaluation; the
-    # 1 mm plane-wave aperture opens 5
-    assert main(["oracle", "--max-steps", "4", "--points", "3",
-                 "--out", str(tmp_path / "x.csv")] + FAST) == 4
-    assert "error:" in capsys.readouterr().err
+    # the budget counts open grating windows per field evaluation; a 400 m
+    # plane-wave aperture opens 2.2e6, over the cap of 1e6
+    out = tmp_path / "x.csv"
+    assert main(["oracle", "--delta", "400", "--points", "3",
+                 "--out", str(out)] + FAST) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: oracle resolution: 2.22222e+06 open windows in the "
+        "aperture, cap is 1e+06"]
+    assert not out.exists()
 
 
 def test_exit_code_for_unwritable_output(tmp_path, capsys):
@@ -331,12 +345,9 @@ def test_top_level_messages_name_every_subcommand(capsys):
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--points", "0"],
-                                  ["oracle", "--max-steps", "0"],
-                                  ["oracle", "--max-steps", "-1"],
                                   ["carpet", "--x-count", "0"],
                                   ["carpet", "--z-count", "-3"]],
-                         ids=["oracle-points", "oracle-max-steps-0",
-                              "oracle-max-steps-negative", "carpet-x-count",
+                         ids=["oracle-points", "carpet-x-count",
                               "carpet-z-count"])
 def test_count_flags_reject_non_positive(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
@@ -499,22 +510,45 @@ def test_oracle_refuses_a_wide_aperture_at_once(tmp_path, delta, count):
     assert not out.exists()
 
 
-# a raised cap lets 5.6e15 windows through to an allocation of 39.5 PiB,
-# which malloc refuses at once; at W = 1e300 m the count is over the cap
-@pytest.mark.parametrize("delta, line", [
-    ("1e12", "error: Unable to allocate 39.5 PiB for an array with shape "
-             "(5555555555555555,) and data type int64"),
-    ("1e300", "error: oracle resolution: 5.55556e+303 open windows in the "
-              "aperture, cap is 1e+300")])
-def test_oracle_with_a_raised_cap_exits_4_in_one_line(tmp_path, delta, line):
-    out = tmp_path / "oracle.csv"
-    proc = subprocess.run([sys.executable, "-m", "talbot_sim.cli", "oracle",
-                           "--delta", delta, "--max-steps", "1e300",
+# 1e17 x samples fit numpy's array length, but their 711 PiB are refused
+# by malloc at once: the MemoryError exits 4 in numpy's one line
+def test_refused_allocation_exits_4_in_one_line(tmp_path):
+    out = tmp_path / "carpet.csv"
+    proc = subprocess.run([sys.executable, "-m", "talbot_sim.cli", "carpet",
+                           "--x-count", "100000000000000000",
                            "--out", str(out)],
                           env=dict(_package_env(), PYTHONWARNINGS="error"),
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 4
-    assert proc.stderr.splitlines() == [line]
+    assert proc.stderr.splitlines() == [
+        "error: Unable to allocate 711. PiB for an array with shape "
+        "(100000000000000000,) and data type float64"]
+    assert not out.exists()
+
+
+# a carpet of 1e7 values is computed in about 0.3 GiB of address space but
+# formatted in about 0.9 GiB, so a child held to 0.5 GiB is refused while
+# it forms its output, which it does before it opens the file; one BLAS
+# thread keeps the child's start-up well inside the limit
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs Linux's RLIMIT_AS")
+def test_run_refused_while_forming_its_output_writes_no_file(tmp_path):
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
+
+    out = tmp_path / "carpet.csv"
+    proc = subprocess.run([sys.executable, "-m", "talbot_sim.cli", "carpet",
+                           "--x-count", "10000", "--z-count", "1000",
+                           "--trunc", "5", "--out", str(out)],
+                          env=dict(_package_env(), PYTHONWARNINGS="error",
+                                   OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=limit_address_space,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
     assert not out.exists()
 
 
@@ -602,7 +636,7 @@ READ_KEYS = {
              "gray_closed"),
     "mc": _SCAN_READS + ("seed", "events_per_point"),
     "oracle": ("lambda0", "z0", "delta", "d", "f", "trunc", "z", "x_min",
-               "x_max", "points", "max_steps"),
+               "x_max", "points"),
     "analyze": _SCAN_READS + ("z_lo", "z_hi", "z_steps"),
 }
 

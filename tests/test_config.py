@@ -160,7 +160,6 @@ def _valid_values(draw):
         "z_count": draw(_COUNTS),
         "norm": draw(st.sampled_from(["raw", "per-column-max-one"])),
         "points": draw(_COUNTS),
-        "max_steps": draw(_COUNTS),
         "z_lo": draw(st.none() | _LENGTHS),
         "z_hi": draw(st.none() | _LENGTHS),
         "z_steps": draw(st.integers(16, 10 ** 6)),

@@ -18,6 +18,7 @@ against mpmath and scipy.special.fresnel.
 
 import math
 import re
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -169,9 +170,11 @@ def test_resolution_cap_enforced():
     # aperture opens 5 of them, and the default budget refuses the
     # 1.1e7 windows of a 2 km aperture before building them
     g = baseline_grating(f=0.3, trunc=50)
-    with pytest.raises(ResolutionCapError):
-        fresnel_field(0.0, LAMBDA0, plane_source(), g, 0.16, max_windows=4)
-    fresnel_field(0.0, LAMBDA0, plane_source(), g, 0.16, max_windows=5)
+    with mock.patch.object(oracle, "MAX_WINDOWS", 4), \
+            pytest.raises(ResolutionCapError):
+        fresnel_field(0.0, LAMBDA0, plane_source(), g, 0.16)
+    with mock.patch.object(oracle, "MAX_WINDOWS", 5):
+        fresnel_field(0.0, LAMBDA0, plane_source(), g, 0.16)
     with pytest.raises(ResolutionCapError):
         fresnel_field(0.0, LAMBDA0, plane_source(delta=2e3), g, 0.16)
 

@@ -2,6 +2,7 @@
 rule tested window by window, and the window budget at its boundary."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,21 +56,23 @@ def test_closed_form_edges_match_the_overlap_rule(aperture):
     d, f, half_width = aperture
     assume(half_width > 0)
     g = GratingSpec(d=d, f=f, trunc=0)
-    edges = oracle._window_edges(g, half_width, 10**6)
+    edges = oracle._window_edges(g, half_width)
     assert edges.tolist() == _overlap_edges(d, f, half_width)
     # the budget is the window count itself: one fewer refuses
     count = edges.size // 2
-    assert oracle._window_edges(g, half_width, count).tolist() == (
-        edges.tolist())
-    with pytest.raises(ResolutionCapError):
-        oracle._window_edges(g, half_width, count - 1)
+    with mock.patch.object(oracle, "MAX_WINDOWS", count):
+        assert oracle._window_edges(g, half_width).tolist() == (
+            edges.tolist())
+    with mock.patch.object(oracle, "MAX_WINDOWS", count - 1), \
+            pytest.raises(ResolutionCapError):
+        oracle._window_edges(g, half_width)
 
 
 def test_zero_width_windows_add_nothing():
     # f d/2 underflows to 0: the windows have no width, and each adds
     # E(u) - E(u) = 0 to the field
     g = GratingSpec(d=360e-6, f=5e-324, trunc=0)
-    edges = oracle._window_edges(g, 1e-3, 10**6)
+    edges = oracle._window_edges(g, 1e-3)
     assert edges.size == 10 and np.array_equal(edges[::2], edges[1::2])
     source = SourceSpec(lambda0=810e-9, delta=1e-3)
     field = oracle.fresnel_field(np.linspace(-1e-3, 1e-3, 9), 810e-9,

@@ -19,7 +19,7 @@ from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
 from talbot_sim import propagation
 from talbot_sim.grating import coefficient_table
 from talbot_sim.propagation import (_cosine_sums, _direct_cosine_sums,
-                                    _harmonics, _plane_harmonics)
+                                    _plane_harmonics)
 
 from helpers import (D, FWHM, LAMBDA0, TALBOT, Z0, baseline_detection,
                      baseline_grating, plane_source, point_source)
@@ -364,6 +364,16 @@ def test_carpet_rejects_empty_z_grid():
 def _row_points(grating):
     """The FFT points _plane_harmonics costs a row at."""
     return propagation._fast_length(4 * grating.trunc + 1)
+
+
+def _harmonics(grating, b):
+    """Intensity harmonics C_q, q = 0..2*trunc, at one b: the
+    autocorrelation of the chirped coefficients c_n = A_n exp(i*n^2*b),
+    n = -trunc..trunc, as the inverse FFT of their power spectrum on
+    4*trunc + 1 points, enough for it not to wrap."""
+    ns, amps = coefficient_table(grating)
+    spectrum = np.fft.fft(amps * np.exp(1j * b * ns ** 2), 2 * ns.size - 1)
+    return np.fft.ifft(np.abs(spectrum) ** 2)[:ns.size].real
 
 
 def _intensity_weights(grating, source, z):
