@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .analysis import fringe_width_fraction, revival_distance, visibility
-from .config import (KEY_HELP, RUN_KEYS, RunConfig, build_config, echo_lines,
-                     parse_value, read_config_file, resolve)
+from .config import (KEY_HELP, RUN_KEYS, RunConfig, echo_lines, parse_value,
+                     read_config_file, resolve)
 from .csvio import (write_carpet_csv, write_mc_csv, write_oracle_csv,
                     write_scan_csv)
 from .errors import ConfigError, DomainError, ResolutionCapError
@@ -71,7 +71,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 values[key] = parse_value(key, text)
             except ConfigError as err:
                 raise ConfigError(f"argument {_flag(key)}: {err}") from None
-    return resolve(build_config(values), args.keys)
+    return resolve(RunConfig(**values), args.keys)
 
 
 def _check_threads(args: argparse.Namespace) -> None:

@@ -16,8 +16,8 @@ from typing import Optional
 from .errors import ConfigError, DomainError
 from .grating import SlmProfile
 from .model import (NORM_COLUMN_MAX_ONE, NORM_RAW, SPECTRAL_SAMPLES,
-                    SPECTRAL_SPAN, DetectionSpec, GratingSpec, SourceSpec,
-                    beta_from_fwhm, spectral_grid, talbot_length)
+                    DetectionSpec, GratingSpec, SourceSpec, beta_from_fwhm,
+                    spectral_grid, talbot_length)
 from .units import fmt_exact, parse_float, parse_int, parse_length
 
 
@@ -53,7 +53,7 @@ def _auto(what: str, rule: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every input of a run, before spec-level validation: the fourteen
+    """Every input of a run, before spec-level validation: the thirteen
     run parameters, then the inputs of single subcommands.
 
     The built-in baseline: 810 nm center with a 50 nm filter on 41
@@ -68,8 +68,6 @@ class RunConfig:
                        "spectral filter FWHM (length; 0 = monochromatic)")
     spectral_samples: int = _key(SPECTRAL_SAMPLES, parse_int,
                                  "odd number of wavelength nodes")
-    spectral_span: float = _key(SPECTRAL_SPAN, parse_float,
-                                "wavelength grid half-span in units of beta")
     z0: Optional[float] = _key(
         1.9885714285714284, _or("none", parse_length),
         "source-to-grating distance (length, or 'none' for a plane wave)")
@@ -125,8 +123,7 @@ class RunConfig:
                           z0=self.z0, delta=self.delta)
 
     def spectrum(self) -> list[tuple[float, float]]:
-        return spectral_grid(self.source(), self.spectral_samples,
-                             self.spectral_span)
+        return spectral_grid(self.source(), self.spectral_samples)
 
     def grating(self) -> GratingSpec:
         return GratingSpec(d=self.d, f=self.f, trunc=self.trunc)
@@ -144,9 +141,8 @@ class RunConfig:
 
 _FIELDS = {spec.name: spec for spec in fields(RunConfig)}
 CONFIG_KEYS = tuple(_FIELDS)
-# the fourteen run parameters; the keys after them belong to one subcommand
+# the thirteen run parameters; the keys after them belong to one subcommand
 RUN_KEYS = CONFIG_KEYS[:CONFIG_KEYS.index("x_min")]
-DEFAULTS: dict[str, object] = {k: spec.default for k, spec in _FIELDS.items()}
 KEY_HELP = {k: spec.metadata["help"] for k, spec in _FIELDS.items()}
 
 
@@ -185,12 +181,6 @@ def read_config_file(path: str) -> dict:
         except ConfigError as err:
             raise ConfigError(f"{path}:{lineno}: {err}") from None
     return values
-
-
-def build_config(file_values: Optional[dict] = None,
-                 overrides: Optional[dict] = None) -> RunConfig:
-    """Merge defaults, config-file values and overrides (highest wins)."""
-    return RunConfig(**{**(file_values or {}), **(overrides or {})})
 
 
 # the keys whose None defers to a default derived from other keys

@@ -65,14 +65,6 @@ def binary_transmission(x, g: GratingSpec):
     return shaped_like(x, open_.astype(int))
 
 
-def truncated_transmission(x, g: GratingSpec):
-    """Harmonic reconstruction sum_n A_n cos(n*k_d*x) of the transmission,
-    truncated at g.trunc: the Fourier series, real since A_-n = A_n."""
-    ns, amps = coefficient_table(g)
-    xs = np.ravel(np.asarray(x, dtype=float))
-    return shaped_like(x, np.cos(np.multiply.outer(xs * g.k_d, ns)) @ amps)
-
-
 def render_slm_mask(g: GratingSpec, profile: SlmProfile | None = None) -> np.ndarray:
     """Rasterize the grating onto the panel as an 8-bit image.
 

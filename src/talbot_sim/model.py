@@ -22,7 +22,8 @@ SOURCE_DIVERGENCE_RAD = 0.5e-3
 # Illuminated half-width fallback for collimated (plane wave) runs.
 PLANE_WAVE_DELTA_M = 1.0e-3
 
-# Default spectral quadrature: odd node count over lambda0 +- span*beta.
+# Spectral quadrature: the default odd node count, over the fixed
+# lambda0 +- SPECTRAL_SPAN*beta.
 SPECTRAL_SAMPLES, SPECTRAL_SPAN = 41, 3.0
 
 NORM_RAW = "raw"
@@ -251,31 +252,28 @@ def beta_from_fwhm(fwhm: float) -> float:
     return fwhm / (2.0 * math.sqrt(math.log(2.0)))
 
 
-def spectral_grid(source: SourceSpec, samples: int = SPECTRAL_SAMPLES,
-                  span: float = SPECTRAL_SPAN) -> list[tuple[float, float]]:
+def spectral_grid(source: SourceSpec,
+                  samples: int = SPECTRAL_SAMPLES) -> list[tuple[float, float]]:
     """Quadrature nodes (wavelength, weight) for the source spectrum.
 
-    Nodes are evenly spaced over lambda0 +- span*beta (non-positive
-    wavelengths are dropped), weighted by exp(-(l-l0)^2/beta^2) and
-    renormalized to unit sum.  samples must be odd so the center line
-    is always a node; beta = 0 collapses to [(lambda0, 1.0)].
+    Nodes are evenly spaced over lambda0 +- SPECTRAL_SPAN*beta
+    (non-positive wavelengths are dropped), weighted by
+    exp(-(l-l0)^2/beta^2) and renormalized to unit sum.  samples must be
+    odd so the center line is always a node; beta = 0 collapses to
+    [(lambda0, 1.0)].
     """
     _require(samples >= 1, "samples must be >= 1")
     _require(samples % 2 == 1, "samples must be odd")
-    _require(0 < span < math.inf, "span must be positive and finite")
     if source.beta == 0.0 or samples == 1:
         return [(source.lambda0, 1.0)]
-    half = samples // 2
-    step = span * source.beta / half
-    # the outermost nodes, lambda0 + half*step and (half*step/beta)^2 in
-    # the weight, as the arrays below form them
-    reach = half * step
-    ratio = reach / source.beta
-    if not (math.isfinite(source.lambda0 + reach)
-            and math.isfinite(ratio * ratio)):
+    half = array_length(samples, "wavelength nodes") // 2
+    step = SPECTRAL_SPAN * source.beta / half
+    # the outermost node, lambda0 + half*step, as the arrays below form it;
+    # its weight's exponent, (half*step/beta)^2, is about SPECTRAL_SPAN^2
+    if not math.isfinite(source.lambda0 + half * step):
         fwhm = 2.0 * math.sqrt(math.log(2.0)) * source.beta
-        raise DomainError(f"spectral grid overflows a double: span = "
-                          f"{span:g}, fwhm = {fwhm:g} m")
+        raise DomainError(f"spectral grid overflows a double: "
+                          f"fwhm = {fwhm:g} m")
     # integer offsets keep the grid exactly symmetric about lambda0
     offsets = np.arange(-half, half + 1) * step
     lams = source.lambda0 + offsets

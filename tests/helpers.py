@@ -1,7 +1,7 @@
 """Shared builders for the test suite.
 
-The numbers here mirror the package's built-in baseline (see
-talbot_sim.config.DEFAULTS): a 360 um period grating lit at 810 nm,
+The numbers here mirror the package's built-in baseline (the defaults
+of talbot_sim.config.RunConfig): a 360 um period grating lit at 810 nm,
 detector slit 115 um wide stepped by 12 um at z = 160 mm.
 """
 
@@ -12,8 +12,9 @@ import mpmath as mp
 import numpy as np
 
 from talbot_sim import (DetectionSpec, GratingSpec, SourceSpec,
-                        effective_distance, intensity, magnification,
-                        truncated_transmission)
+                        effective_distance, intensity, magnification)
+from talbot_sim.grating import coefficient_table
+from talbot_sim.model import shaped_like
 
 LAMBDA0 = 810e-9
 D = 360e-6
@@ -46,6 +47,15 @@ def baseline_detection(z=160e-3, **kw):
     kw.setdefault("scan_end", 600e-6)
     kw.setdefault("scan_step", 12e-6)
     return DetectionSpec(z=z, **kw)
+
+
+def truncated_transmission(x, g):
+    """Harmonic reconstruction sum_n A_n cos(n*k_d*x) of the transmission,
+    truncated at g.trunc: the Fourier series, real since A_-n = A_n.  The
+    reference profile of the imaging identities, shaped like x."""
+    ns, amps = coefficient_table(g)
+    xs = np.ravel(np.asarray(x, dtype=float))
+    return shaped_like(x, np.cos(np.multiply.outer(xs * g.k_d, ns)) @ amps)
 
 
 def point_rng(seed, index):

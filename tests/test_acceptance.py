@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from talbot_sim import (DetectionSpec, GratingSpec, SourceSpec,
-                        build_config, fresnel_intensity,
-                        fringe_width_fraction, intensity, polychromatic_rate,
-                        render_slm_mask, revival_distance, scan,
-                        simulate_scan, talbot_length, truncated_transmission,
-                        visibility, write_pgm)
+from talbot_sim import (DetectionSpec, GratingSpec, RunConfig, SourceSpec,
+                        fresnel_intensity, fringe_width_fraction, intensity,
+                        polychromatic_rate, render_slm_mask,
+                        revival_distance, scan, simulate_scan,
+                        talbot_length, visibility, write_pgm)
 from talbot_sim.grating import coefficient_table
 
-from helpers import D, LAMBDA0, TALBOT, Z0, mp_fresnel_field, read_pgm
+from helpers import (D, LAMBDA0, TALBOT, Z0, mp_fresnel_field, read_pgm,
+                     truncated_transmission)
 
-CFG = build_config()  # the reference configuration all criteria start from
+CFG = RunConfig()  # the reference configuration all criteria start from
 
 
 def test_criterion_1_talbot_length():

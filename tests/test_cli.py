@@ -54,7 +54,7 @@ def test_scan_writes_csv(tmp_path):
 
 # non-default keys for the scan, mc and analyze runs below
 _SCAN_KEYS = ["--f", "0.35", "--scan-start=-300um", "--lambda0", "805nm",
-              "--spectral-samples", "11", "--spectral-span", "2.5"] + FAST
+              "--spectral-samples", "11"] + FAST
 # carpet's z window and oracle's x window stay at their defaults, which
 # follow lambda0, d and z
 _FIELD_KEYS = ["--lambda0", "700nm", "--f", "0.35", "--z0", "1.5m",
@@ -97,12 +97,11 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
                  ["oracle", "--config", str(huge)]):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "out of range" in capsys.readouterr().err
-    # the spectral quadrature keys, from a flag and from a config file: a
+    # the spectral quadrature key, from a flag and from a config file: a
     # bad number is a config problem, an even node count a domain problem
     spectral = tmp_path / "spectral.cfg"
     for key, text, code, fragment in (
             ("spectral_samples", "1.5", 2, "expected an integer"),
-            ("spectral_span", "1e400", 2, "out of range"),
             ("spectral_samples", "2", 3, "samples must be odd")):
         spectral.write_text(f"f = 0.1\n{key} = {text}\n", encoding="utf-8")
         for argv in (["--" + key.replace("_", "-"), text],
@@ -142,8 +141,13 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
                  ["mc", "--z0=0.3", "--lambda0=1e300", "--seed", "1"],
                  # the magnification 1 + z/z0 overflows
                  ["carpet", "--z0=1e-200", "--z-max=1e200"],
-                 # so does the square of the outermost spectral node's offset
-                 ["scan", "--spectral-span=1e200", "--fwhm=1e6"],
+                 # so does the outermost spectral node, lambda0 + 3*beta
+                 ["scan", "--fwhm=1e308"],
+                 # an odd node count numpy cannot size
+                 ["scan", "--spectral-samples", "9999999999999999999"],
+                 ["mc", "--seed", "1", "--spectral-samples",
+                  "100000000000000000000000000001"],
+                 ["analyze", "--spectral-samples", "9999999999999999999"],
                  # and the magnified period d*(1 + z/z0), whose a = 2*pi/(d*M)
                  # would underflow to 0 and make the slit factor 0/0
                  ["scan", "--z0=1e-200", "--d=1e154"],
@@ -625,9 +629,9 @@ def test_analyze_report_names_its_revival_window(capsys, flags, window):
 
 
 # the config keys each subcommand reads, restated from the README
-_SCAN_READS = ("lambda0", "fwhm", "spectral_samples", "spectral_span", "z0",
-               "d", "f", "trunc", "z", "slit_width", "scan_start",
-               "scan_end", "scan_step")
+_SCAN_READS = ("lambda0", "fwhm", "spectral_samples", "z0", "d", "f",
+               "trunc", "z", "slit_width", "scan_start", "scan_end",
+               "scan_step")
 READ_KEYS = {
     "scan": _SCAN_READS,
     "carpet": ("lambda0", "z0", "d", "f", "trunc", "x_min", "x_max",

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from talbot_sim import (DomainError, GratingSpec, SlmProfile,
                         binary_transmission, fourier_coefficient,
-                        render_slm_mask, truncated_transmission, write_pgm)
+                        render_slm_mask, write_pgm)
 from talbot_sim.grating import coefficient_table
 
-from helpers import D, baseline_grating, read_pgm
+from helpers import D, baseline_grating, read_pgm, truncated_transmission
 
 
 def test_fourier_coefficient_known_values():

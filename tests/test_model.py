@@ -10,6 +10,7 @@ from talbot_sim import (Carpet, DetectionSpec, DomainError, GratingSpec,
                         Pattern, SourceSpec, beta_from_fwhm,
                         effective_distance, magnification, spectral_grid,
                         talbot_length)
+from talbot_sim.model import SPECTRAL_SPAN
 
 from helpers import D, FWHM, LAMBDA0, Z0, plane_source
 
@@ -126,12 +127,14 @@ def test_beta_from_fwhm_rejects_negative():
 
 def test_spectral_grid_symmetric_unit_sum():
     src = plane_source(beta=30e-9)
-    grid = spectral_grid(src, samples=41, span=3.0)
+    grid = spectral_grid(src, samples=41)
     assert len(grid) == 41
     lams = [g[0] for g in grid]
     ws = [g[1] for g in grid]
     assert sum(ws) == pytest.approx(1.0, abs=1e-12)
     assert lams[20] == LAMBDA0  # center line is always a node
+    assert lams[40] - LAMBDA0 == pytest.approx(SPECTRAL_SPAN * 30e-9,
+                                               rel=1e-9)
     for i in range(20):
         assert ws[i] == ws[40 - i]  # weights mirror exactly
         assert lams[i] + lams[40 - i] == pytest.approx(2 * LAMBDA0, abs=1e-18)
@@ -147,18 +150,24 @@ def test_spectral_grid_monochromatic_collapses():
 def test_spectral_grid_drops_nonpositive_wavelengths():
     # a line wider than its own center wavelength would reach lam <= 0
     src = SourceSpec(lambda0=1e-9, beta=1e-9)
-    grid = spectral_grid(src, samples=41, span=3.0)
+    grid = spectral_grid(src, samples=41)
     assert 0 < len(grid) < 41
     assert all(lam > 0 for lam, _ in grid)
     assert sum(w for _, w in grid) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("samples, span", [(40, 3.0), (0, 3.0), (-3, 3.0),
-                                           (41, 0.0), (41, -1.0),
-                                           (41, math.inf), (41, math.nan)])
-def test_spectral_grid_rejects_bad_arguments(samples, span):
+@pytest.mark.parametrize("samples", [40, 0, -3, 10 ** 19 - 1])
+def test_spectral_grid_rejects_bad_arguments(samples):
     with pytest.raises(DomainError):
-        spectral_grid(plane_source(beta=30e-9), samples=samples, span=span)
+        spectral_grid(plane_source(beta=30e-9), samples=samples)
+
+
+def test_spectral_grid_refuses_a_node_beyond_a_double():
+    # the outermost node lambda0 + SPECTRAL_SPAN*beta overflows
+    src = plane_source(beta=beta_from_fwhm(1e308))
+    with pytest.raises(DomainError, match=r"^spectral grid overflows a "
+                       r"double: fwhm = 1e\+308 m$"):
+        spectral_grid(src)
 
 
 def test_source_delta_defaults():

@@ -14,10 +14,10 @@ from helpers import (FWHM, baseline_detection, baseline_grating,
                      point_rng, point_source)
 
 
-def _curve(f=0.3, samples=41, span=3.0):
+def _curve(f=0.3, samples=41):
     src = point_source(beta=beta_from_fwhm(FWHM))
     return scan(src, baseline_grating(f=f), baseline_detection(),
-                grid=spectral_grid(src, samples, span))
+                grid=spectral_grid(src, samples))
 
 
 def _run(seed=7, events=1000.0, **kw):
@@ -63,7 +63,7 @@ def test_simulate_scan_errors_and_meta():
 
 
 def test_expected_means_are_the_scan_curve():
-    curve = _curve(samples=11, span=2.5)
+    curve = _curve(samples=11)
     pat = simulate_scan(curve, 7, 1234.5)
     assert np.array_equal(pat.positions, curve.positions)
     assert np.array_equal(pat.meta["expected_means"], 1234.5 * curve.values)

@@ -14,15 +14,15 @@ from hypothesis import strategies as st
 from talbot_sim import (DomainError, GratingSpec, beta_from_fwhm, carpet,
                         effective_distance, fresnel_intensity, intensity,
                         magnification, polychromatic_rate, revival_distance,
-                        scan, spectral_grid, talbot_length,
-                        truncated_transmission, visibility)
+                        scan, spectral_grid, talbot_length, visibility)
 from talbot_sim import propagation
 from talbot_sim.grating import coefficient_table
 from talbot_sim.propagation import (_cosine_sums, _direct_cosine_sums,
                                     _plane_harmonics)
 
 from helpers import (D, FWHM, LAMBDA0, TALBOT, Z0, baseline_detection,
-                     baseline_grating, plane_source, point_source)
+                     baseline_grating, plane_source, point_source,
+                     truncated_transmission)
 
 
 def test_full_transmission_gives_uniform_intensity():

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from talbot_sim import (beta_from_fwhm, binary_transmission,
                         effective_distance, fourier_coefficient,
                         fresnel_field, fresnel_intensity, intensity,
-                        magnification, polychromatic_rate,
-                        truncated_transmission)
+                        magnification, polychromatic_rate)
 
 from helpers import (FWHM, LAMBDA0, Z0, baseline_detection, baseline_grating,
-                     plane_source, point_source)
+                     plane_source, point_source, truncated_transmission)
 
 # small enough that the oracle integrates a few windows per probe: the
 # sources light about 1 mm either side of the axis
