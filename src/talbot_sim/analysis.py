@@ -87,29 +87,28 @@ def _simplest_fraction(side) -> tuple[int, int]:
         lo, hi = (base, hi) if where < 0 else (lo, base)
 
 
-def revival_distance(source: SourceSpec, grating: GratingSpec, lam: float,
-                     z_lo: float, z_hi: float) -> float:
+def revival_distance(source: SourceSpec, grating: GratingSpec, z_lo: float,
+                     z_hi: float) -> float:
     """Distance of the lowest-order Talbot plane in [z_lo, z_hi].
 
-    At z_eff = (p/q)*d^2/lam, with p/q in lowest terms, the monochromatic
-    pattern is q shifted copies of the grating image; at p/q = m it is
-    the image itself, shifted half a period for odd m (Berry & Klein,
-    J. Mod. Opt. 43, 2139, 1996).  For a point source the plane lies at
-    z = z_eff*z0/(z0 - z_eff), and there is none once z_eff >= z0.  The
-    answer is the plane of the smallest q in the window, then of the
-    smallest p (_simplest_fraction), so a window that holds a self-image
-    plane returns the one of the smallest m >= 1.  Each candidate's plane
-    is tested in floats against the window, so a window edge that is a
-    plane counts.  A flat grating profile (f = 1 or trunc = 0) has no
-    image to repeat and raises DomainError.
+    At z_eff = (p/q)*d^2/lam, at lam = source.lambda0 and with p/q in
+    lowest terms, the monochromatic pattern is q shifted copies of the
+    grating image; at p/q = m it is the image itself, shifted half a
+    period for odd m (Berry & Klein, J. Mod. Opt. 43, 2139, 1996).  For a
+    point source the plane lies at z = z_eff*z0/(z0 - z_eff), and there
+    is none once z_eff >= z0.  The answer is the plane of the smallest q
+    in the window, then of the smallest p (_simplest_fraction), so a
+    window that holds a self-image plane returns the one of the smallest
+    m >= 1.  Each candidate's plane is tested in floats against the
+    window, so a window edge that is a plane counts.  A flat grating
+    profile (f = 1 or trunc = 0) has no image to repeat and raises
+    DomainError.
     """
-    if lam <= 0:
-        raise DomainError("wavelength must be positive")
     if not 0 < z_lo < z_hi:
         raise DomainError("need 0 < z_lo < z_hi")
     if grating.f == 1.0 or grating.trunc == 0:
         raise DomainError("no revival found: grating profile is flat")
-    z0, d2 = source.z0, grating.d ** 2
+    z0, d2, lam = source.z0, grating.d ** 2, source.lambda0
 
     def plane(p: int, q: int):
         """z of the plane of p/q, or None where z_eff >= z0."""

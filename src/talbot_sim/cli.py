@@ -2,8 +2,9 @@
 
 Subcommands: scan, carpet, mask, mc, oracle, analyze.  Values may come
 from flags, a --config file, or the built-in baseline, in that order of
-precedence.  Exit codes: 0 success, 2 configuration problem, 3 physics
-domain error, 4 oracle window budget exceeded or an allocation refused.
+precedence.  Exit codes: 0 success, 2 configuration or I/O problem, 3
+physics domain error, 4 oracle window budget exceeded or an allocation
+refused.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ def _scan_curve(cfg: RunConfig):
                 grid=cfg.spectrum())
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     pattern = _scan_curve(cfg)
     comments = echo_lines(cfg, args.keys) + [
         f"# magnification: {fmt_exact(pattern.meta['magnification'])}",
@@ -108,8 +108,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_carpet(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_carpet(cfg: RunConfig, args: argparse.Namespace) -> int:
     carp = carpet(cfg.source(), cfg.grating(),
                   _grid(cfg, "x_min", "x_max", cfg.x_count, "x samples"),
                   _grid(cfg, "z_min", "z_max", cfg.z_count, "z samples"),
@@ -118,8 +117,7 @@ def cmd_carpet(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_mask(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_mask(cfg: RunConfig, args: argparse.Namespace) -> int:
     # render_slm_mask reads only d and f; trunc 0 spares the grating the
     # order count that trunc = auto would size, and refuse, from f
     grating = GratingSpec(d=cfg.d, f=cfg.f, trunc=0)
@@ -127,8 +125,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_mc(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.seed is None:
         raise ConfigError("mc needs a seed (--seed, or seed in --config)")
     pattern = simulate_scan(_scan_curve(cfg), cfg.seed, cfg.events_per_point)
@@ -137,8 +134,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> int:
     source, grating = cfg.source(), cfg.grating()
     xs = _grid(cfg, "x_min", "x_max", cfg.points, "probe positions")
     analytic = intensity(xs, cfg.lambda0, source, grating, cfg.z)
@@ -149,12 +145,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     pattern = _scan_curve(cfg)
     period = cfg.d * pattern.meta["magnification"]
-    revival = revival_distance(cfg.source(), cfg.grating(), cfg.lambda0,
-                               cfg.z_lo, cfg.z_hi)
+    revival = revival_distance(cfg.source(), cfg.grating(), cfg.z_lo,
+                               cfg.z_hi)
     lines = echo_lines(cfg, args.keys) + [
         f"visibility = {fmt(visibility(pattern))}",
         f"fringe_fraction = {fmt(fringe_width_fraction(pattern, period))}",
@@ -193,19 +188,15 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The talbot-sim parser with every subcommand, or with only the one
-    named by command, which parses that subcommand's argv the same way."""
+def build_parser() -> argparse.ArgumentParser:
+    """The talbot-sim parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="talbot-sim",
-        # fixed, so an error names all six subcommands whichever were built
-        usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
         description="Near-field grating diffraction simulator: slit scans, "
                     "intensity carpets, photon-count runs and validation.")
     subs = parser.add_subparsers(dest="command", required=True,
                                  prog="talbot-sim")
-    for name in [command] if command else _COMMANDS:
-        help_line, keys, default_out, handler = _COMMANDS[name]
+    for name, (help_line, keys, default_out, handler) in _COMMANDS.items():
         sub = subs.add_parser(name, epilog=_UNITS_EPILOG, help=help_line)
         _add_common(sub, keys, default_out)
         sub.set_defaults(func=handler, keys=keys)
@@ -213,22 +204,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """build_parser(command), built on first use and kept for the process:
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on first use and kept for the process:
     parse_args leaves a parser as it found it."""
-    return build_parser(command)
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the parser of the subcommand that runs, built on the process's first
-    # call and reused after: one takes 0.5 to 1 ms, a large share of a short
-    # job; --help and a missing or bad command get all six, about 3 ms
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _parser(command).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_threads(args)
-        return args.func(args)
+        return args.func(_load_config(args), args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -159,13 +159,18 @@ def read_config_file(path: str) -> dict:
     Raises ConfigError with ``path:line:`` diagnostics on any problem.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        # a byte that is not UTF-8 reads as a lone surrogate, refused below
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             raw_lines = fh.readlines()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
 
     values: dict = {}
     for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -228,6 +228,10 @@ def effective_distance(z, z0: Optional[float] = None):
     if z0 is None:
         return shaped_like(z, z)
     _require(z0 > 0, "z0 must be positive when given")
+    top = float(z.max(initial=0.0))
+    if not math.isfinite(top * z0):
+        raise DomainError(f"reduced distance z*z0/(z + z0) overflows a "
+                          f"double: z = {top:g} m, z0 = {z0:g} m")
     return shaped_like(z, z * z0 / (z + z0))
 
 

@@ -223,8 +223,6 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
     """
     if lam <= 0:
         raise DomainError("wavelength must be positive")
-    if z <= 0:
-        raise DomainError("propagation distance must be positive")
     z_red = effective_distance(z, source.z0)
     spread = lam * z_red
     if not (spread > 0 and 0 < 2.0 / spread < math.inf):

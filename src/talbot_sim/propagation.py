@@ -187,28 +187,25 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     if any(lam <= 0 for lam in lams):
         raise DomainError("wavelength must be positive")
     zs = np.asarray(zs, dtype=float)
-    d2 = grating.d ** 2
-    # b = pi*lam*z_eff/d^2 peaks at the longest wavelength and the farthest
-    # plane; in Python floats, which overflow to inf with no warning, its
-    # largest chirp phase b*trunc^2 is checked before any array is made
-    z = float(zs.max())
-    if z > 0:  # else effective_distance refuses the plane
-        z_red = z if source.z0 is None else z * source.z0 / (z + source.z0)
-        b = math.pi * max(lams) * z_red / d2 if d2 > 0 else math.inf
-        if not math.isfinite(b * grating.trunc ** 2):
-            raise DomainError(
-                f"chirp phase b*trunc^2, b = pi*lambda*z_eff/d^2, is not "
-                f"finite: lambda0 = {source.lambda0:g} m, z = {z:g} m, "
-                f"d = {grating.d:g} m, trunc = {grating.trunc}")
-        # a = 2*pi/(d*M) underflows to 0 when the magnified period does not
-        # fit a double, and the slit factor sin(q*a*D/2)/(q*a) becomes 0/0
-        if not math.isfinite(grating.d * magnification(z, source.z0)):
-            raise DomainError(
-                f"magnified period d*(1 + z/z0) is not finite: "
-                f"d = {grating.d:g} m, z = {z:g} m, z0 = {source.z0:g} m")
     zeff = effective_distance(zs, source.z0)
-    bs = np.multiply.outer(math.pi * np.array(lams), zeff) / d2
-    a = grating.k_d / magnification(zs, source.z0)
+    # b = pi*lam*z_eff/d^2 peaks at the longest wavelength and the farthest
+    # plane, where an overflow leaves its chirp phase b*trunc^2 not finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bs = np.multiply.outer(math.pi * np.array(lams), zeff) / grating.d ** 2
+    z = float(zs.max())
+    if not math.isfinite(float(bs.max()) * grating.trunc ** 2):
+        raise DomainError(
+            f"chirp phase b*trunc^2, b = pi*lambda*z_eff/d^2, is not "
+            f"finite: lambda0 = {source.lambda0:g} m, z = {z:g} m, "
+            f"d = {grating.d:g} m, trunc = {grating.trunc}")
+    # a = 2*pi/(d*M) underflows to 0 when the magnified period does not
+    # fit a double, and the slit factor sin(q*a*D/2)/(q*a) becomes 0/0
+    mag = magnification(zs, source.z0)
+    if not math.isfinite(grating.d * float(mag.max())):
+        raise DomainError(
+            f"magnified period d*(1 + z/z0) is not finite: "
+            f"d = {grating.d:g} m, z = {z:g} m, z0 = {source.z0:g} m")
+    a = grating.k_d / mag
     length = _fast_length(4 * grating.trunc + 1)
     rows = max(1, SCRATCH_BUDGET // (_DOUBLES_PER_POINT * length))
     nodes = min(len(lams), rows)

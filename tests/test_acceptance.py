@@ -39,7 +39,7 @@ def test_criterion_2_revival_extension():
     # 174 mm; the correlation search must find it in under a minute
     started = time.monotonic()
     g = GratingSpec(d=CFG.d, f=CFG.f, trunc=50)
-    z = revival_distance(CFG.source(), g, CFG.lambda0, 0.150, 0.200)
+    z = revival_distance(CFG.source(), g, 0.150, 0.200)
     elapsed = time.monotonic() - started
     assert z == pytest.approx(0.174, abs=1e-3), z
     assert elapsed < 60.0, f"revival search took {elapsed:.1f}s"

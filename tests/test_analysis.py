@@ -94,28 +94,28 @@ def test_fringe_fraction_rejects_short_or_flat_scans():
 
 def test_revival_plane_wave_repeats_at_full_length():
     g = baseline_grating(f=0.3, trunc=30)
-    z = revival_distance(plane_source(), g, LAMBDA0, 0.14, 0.18)
+    z = revival_distance(plane_source(), g, 0.14, 0.18)
     assert z == pytest.approx(TALBOT, abs=1e-4)
 
 
 def test_revival_point_source_lands_on_magnified_plane():
     # the reduced distance hits d**2/lam at z = 174 mm for this source
     g = baseline_grating(f=0.3, trunc=30)
-    z = revival_distance(point_source(), g, LAMBDA0, 0.15, 0.2)
+    z = revival_distance(point_source(), g, 0.15, 0.2)
     assert z == pytest.approx(0.174, abs=1e-4)
 
 
 def test_revival_far_source_approaches_plane_wave():
     g = baseline_grating(f=0.3, trunc=30)
     far = SourceSpec(lambda0=LAMBDA0, z0=1e6 * TALBOT)
-    z_plane = revival_distance(plane_source(), g, LAMBDA0, 0.155, 0.165)
-    z_far = revival_distance(far, g, LAMBDA0, 0.155, 0.165)
+    z_plane = revival_distance(plane_source(), g, 0.155, 0.165)
+    z_far = revival_distance(far, g, 0.155, 0.165)
     assert abs(z_far - z_plane) < 1e-5
 
 
 def test_revival_stays_inside_search_interval():
     g = baseline_grating(f=0.3, trunc=30)
-    z = revival_distance(plane_source(), g, LAMBDA0, 0.15, 0.17)
+    z = revival_distance(plane_source(), g, 0.15, 0.17)
     assert 0.15 <= z <= 0.17
 
 
@@ -126,25 +126,23 @@ def test_revival_rejects_structureless_grating(f, trunc):
     with mock.patch.object(propagation, "_plane_harmonics",
                            wraps=propagation._plane_harmonics) as engine:
         with pytest.raises(DomainError, match="no revival found"):
-            revival_distance(plane_source(), g, LAMBDA0, 0.14, 0.18)
+            revival_distance(plane_source(), g, 0.14, 0.18)
     engine.assert_not_called()
 
 
 def test_revival_rejects_bad_search_arguments():
     g = baseline_grating(f=0.3)
     with pytest.raises(DomainError):
-        revival_distance(plane_source(), g, LAMBDA0, 0.18, 0.14)
+        revival_distance(plane_source(), g, 0.18, 0.14)
     with pytest.raises(DomainError):
-        revival_distance(plane_source(), g, LAMBDA0, 0.0, 0.18)
-    with pytest.raises(DomainError, match="wavelength"):
-        revival_distance(plane_source(), g, 0.0, 0.14, 0.18)
+        revival_distance(plane_source(), g, 0.0, 0.18)
 
 
 def test_revival_refuses_planes_finer_than_a_double():
     # past z_eff = 2**53 * d^2/lam neighbouring planes share one double
     g = baseline_grating(f=0.3)
     with pytest.raises(DomainError, match="double precision"):
-        revival_distance(plane_source(), g, LAMBDA0, 1e300, 2e300)
+        revival_distance(plane_source(), g, 1e300, 2e300)
 
 
 def test_revival_small_open_fraction_stays_small_in_memory():
@@ -152,9 +150,9 @@ def test_revival_small_open_fraction_stays_small_in_memory():
     assert g.trunc == 8000
     tracemalloc.start()
     try:
-        z = revival_distance(point_source(), g, LAMBDA0, 0.128, 0.208)
+        z = revival_distance(point_source(), g, 0.128, 0.208)
         # no self-image plane here: the half-order plane p/q = 1/2
-        z_none = revival_distance(point_source(), g, LAMBDA0, 0.080, 0.130)
+        z_none = revival_distance(point_source(), g, 0.080, 0.130)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -168,7 +166,7 @@ def test_revival_small_open_fraction_finds_main_lobe(f):
     # at the auto trunc (8000 and 2667 orders) the revival lobe is a few
     # um wide; the closed form lands on its centre at any order count
     g = baseline_grating(f=f)
-    z = revival_distance(point_source(), g, LAMBDA0, 0.128, 0.208)
+    z = revival_distance(point_source(), g, 0.128, 0.208)
     assert z == pytest.approx(0.174, abs=1e-6)
 
 
@@ -191,7 +189,7 @@ def test_revival_is_the_self_image_plane(f, trunc, m, z0):
     want = _self_image(m, z0)
     g = baseline_grating(f=f, trunc=trunc)
     src = SourceSpec(lambda0=LAMBDA0, z0=z0)
-    assert revival_distance(src, g, LAMBDA0, 0.8 * want, 1.3 * want) == want
+    assert revival_distance(src, g, 0.8 * want, 1.3 * want) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -207,7 +205,7 @@ def test_self_image_plane_is_the_best_score(f, trunc, m, z0):
     g = baseline_grating(f=f, trunc=trunc)
     src = SourceSpec(lambda0=LAMBDA0, z0=z0)
     best = sampled_revival_score(
-        revival_distance(src, g, LAMBDA0, z_lo, z_hi), LAMBDA0, src, g)
+        revival_distance(src, g, z_lo, z_hi), LAMBDA0, src, g)
     grid = [sampled_revival_score(z, LAMBDA0, src, g)
             for z in np.linspace(z_lo, z_hi, 64)]
     assert abs(best - 1.0) <= 1e-12
@@ -229,7 +227,7 @@ def test_revival_is_the_first_plane_in_the_window(f, z0, z_lo, z_hi, trunc,
     # harmonics, so it is the same at the auto trunc and at trunc
     src = SourceSpec(lambda0=LAMBDA0, z0=z0)
     for g in (baseline_grating(f=f), baseline_grating(f=f, trunc=trunc)):
-        assert revival_distance(src, g, LAMBDA0, z_lo, z_hi) == \
+        assert revival_distance(src, g, z_lo, z_hi) == \
             _self_image(m, z0)
 
 
@@ -241,9 +239,9 @@ def test_revival_counts_a_plane_on_the_window_edge(z0, m):
     g = baseline_grating(f=0.3, trunc=30)
     src = SourceSpec(lambda0=LAMBDA0, z0=z0)
     plane = _self_image(m, z0)
-    assert revival_distance(src, g, LAMBDA0, plane,
+    assert revival_distance(src, g, plane,
                             1.01 * _self_image(m + 1, z0)) == plane
-    assert revival_distance(src, g, LAMBDA0, 0.9 * plane, plane) == plane
+    assert revival_distance(src, g, 0.9 * plane, plane) == plane
 
 
 def _plane(frac, z0):
@@ -280,7 +278,7 @@ def test_revival_is_the_lowest_order_plane_in_the_window(z0, z_lo, reach):
     z_hi = z_lo + small * (large / small) ** reach
     src = SourceSpec(lambda0=LAMBDA0, z0=z0)
     # numpy scalars, as a caller slicing an array passes them
-    z = revival_distance(src, baseline_grating(), LAMBDA0, np.float64(z_lo),
+    z = revival_distance(src, baseline_grating(), np.float64(z_lo),
                          np.float64(z_hi))
     assert z_lo <= z <= z_hi
     lowest = _lowest_plane(z_lo, z_hi, z0)

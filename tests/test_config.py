@@ -96,6 +96,15 @@ def test_config_file_diagnostics_carry_line_numbers(tmp_path, line, fragment):
     assert fragment in msg
 
 
+def test_config_file_that_is_not_utf8_names_its_line(tmp_path):
+    # a Latin-1 byte in a comment: refused as text, not raised as a
+    # UnicodeDecodeError
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"f = 0.3\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r":2: not UTF-8 text$"):
+        read_config_file(path)
+
+
 def test_config_file_rejects_duplicate_keys(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("f = 0.1\nf = 0.2\n", encoding="utf-8")

@@ -113,6 +113,15 @@ def test_distance_and_magnification_reject_a_nonpositive_entry(bad, z0):
         magnification(zs, z0)
 
 
+def test_effective_distance_refuses_an_overflowing_product():
+    # z*z0 overflows though the reduced distance itself would fit
+    with pytest.raises(DomainError, match=r"^reduced distance z\*z0/\(z \+ "
+                       r"z0\) overflows a double: z = 1e\+300 m, "
+                       r"z0 = 1e\+300 m$"):
+        effective_distance(np.array([0.16, 1e300]), 1e300)
+    assert effective_distance(1e300, 1e-10) == pytest.approx(1e-10)
+
+
 def test_beta_from_fwhm_inverts_half_maximum():
     # the spectral weight exp(-(dl/beta)**2) must be 1/2 at dl = FWHM/2
     beta = beta_from_fwhm(FWHM)

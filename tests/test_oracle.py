@@ -193,6 +193,11 @@ def test_field_rejects_bad_arguments():
                 f"lambda0 = {lam:g} m, z = {z:g} m")):
             fresnel_field(0.0, lam, src, g, z)
 
+    # z*z0 overflows: refused by name before any warning
+    with pytest.raises(DomainError, match="^reduced distance"):
+        fresnel_intensity([0.0], LAMBDA0, plane_source(z0=1e300),
+                          baseline_grating(f=0.1, trunc=5), 1e300)
+
 
 def _kernel_values(u):
     """E(u) = C(u) + i S(u) from each branch of the oracle's kernel whose

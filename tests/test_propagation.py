@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -168,6 +169,29 @@ def test_intensity_rejects_bad_arguments():
         intensity(0.0, -LAMBDA0, plane_source(), g, 0.16)
     with pytest.raises(DomainError):
         intensity(0.0, LAMBDA0, plane_source(), g, 0.0)
+
+
+@pytest.mark.parametrize("z0, d, z, cause", [
+    # d^2 underflows to 0, so b = pi*lambda*z_eff/d^2 is inf
+    (None, 1e-300, 0.16, "chirp phase b*trunc^2"),
+    (1e-200, D, 1e200, "magnification 1 + z/z0 overflows"),
+    (1e-200, 1e154, 0.16, "magnified period d*(1 + z/z0) is not finite"),
+    (1e300, D, 1e300, "reduced distance z*z0/(z + z0) overflows"),
+])
+@pytest.mark.parametrize("engine", ["intensity", "polychromatic_rate",
+                                    "carpet"])
+def test_each_engine_refusal_names_its_cause(z0, d, z, cause, engine):
+    # the first check a plane fails names it, under the RuntimeWarning
+    # errors of the test settings: no overflow warns before the refusal
+    src, g = plane_source(z0=z0), baseline_grating(d=d)
+    calls = {
+        "intensity": lambda: intensity(0.0, LAMBDA0, src, g, z),
+        "polychromatic_rate": lambda: polychromatic_rate(
+            0.0, src, g, baseline_detection(z=z)),
+        "carpet": lambda: carpet(src, g, [0.0], [z / 2, z]),
+    }
+    with pytest.raises(DomainError, match="^" + re.escape(cause)):
+        calls[engine]()
 
 
 def test_slit_rate_full_transmission_is_half_width():
