@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -89,13 +90,14 @@ def _grid(cfg: RunConfig, lo: str, hi: str, count: int, what: str):
     if count >= 2 and not start < stop:
         raise DomainError(f"{lo} = {fmt(start)} m must be below {hi} = "
                           f"{fmt(stop)} m for {count} {what}")
+    if not math.isfinite(stop - start):
+        raise DomainError(f"{lo} = {fmt(start)} m to {hi} = {fmt(stop)} m "
+                          f"is wider than a double holds")
     return np.linspace(start, stop, array_length(count, what))
 
 
 def _scan_curve(cfg: RunConfig):
-    """scan() of cfg over its spectrum."""
-    return scan(cfg.source(), cfg.grating(), cfg.detection(),
-                grid=cfg.spectrum())
+    return scan(cfg.source(), cfg.grating(), cfg.detection())
 
 
 def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:

@@ -16,8 +16,7 @@ from typing import Optional
 from .errors import ConfigError, DomainError
 from .grating import SlmProfile
 from .model import (NORM_COLUMN_MAX_ONE, NORM_RAW, SPECTRAL_SAMPLES,
-                    DetectionSpec, GratingSpec, SourceSpec, beta_from_fwhm,
-                    spectral_grid, talbot_length)
+                    DetectionSpec, GratingSpec, SourceSpec, talbot_length)
 from .units import fmt_exact, parse_float, parse_int, parse_length
 
 
@@ -118,12 +117,9 @@ class RunConfig:
                             "closed gray level")
 
     def source(self) -> SourceSpec:
-        return SourceSpec(lambda0=self.lambda0,
-                          beta=beta_from_fwhm(self.fwhm),
+        return SourceSpec(lambda0=self.lambda0, fwhm=self.fwhm,
+                          spectral_samples=self.spectral_samples,
                           z0=self.z0, delta=self.delta)
-
-    def spectrum(self) -> list[tuple[float, float]]:
-        return spectral_grid(self.source(), self.spectral_samples)
 
     def grating(self) -> GratingSpec:
         return GratingSpec(d=self.d, f=self.f, trunc=self.trunc)

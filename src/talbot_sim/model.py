@@ -23,7 +23,7 @@ SOURCE_DIVERGENCE_RAD = 0.5e-3
 PLANE_WAVE_DELTA_M = 1.0e-3
 
 # Spectral quadrature: the default odd node count, over the fixed
-# lambda0 +- SPECTRAL_SPAN*beta.
+# lambda0 +- SPECTRAL_SPAN*beta, beta the line's 1/e half-width.
 SPECTRAL_SAMPLES, SPECTRAL_SPAN = 41, 3.0
 
 NORM_RAW = "raw"
@@ -56,23 +56,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Illumination: center wavelength, spectral width, geometry.
+    """Illumination: center wavelength, spectral line, geometry.
 
-    beta is the 1/e half-width of the spectral weight exp(-(l-l0)^2/beta^2);
-    beta = 0 means monochromatic.  z0 is the source-to-grating distance,
-    None for plane-wave illumination.  delta is the illuminated half-width
-    at the grating; if omitted it is sized from the 0.5 mrad source cone
-    (delta = 0.5e-3 * z0) or falls back to 1 mm for a plane wave.
+    fwhm is the full width at half maximum of the Gaussian spectral line,
+    0 for monochromatic light; spectral_grid samples it on
+    spectral_samples nodes, an odd count so the center line is always a
+    node.  z0 is the source-to-grating distance, None for plane-wave
+    illumination.  delta is the illuminated half-width at the grating; if
+    omitted it is sized from the 0.5 mrad source cone (delta = 0.5e-3 * z0)
+    or falls back to 1 mm for a plane wave.
     """
 
     lambda0: float
-    beta: float = 0.0
+    fwhm: float = 0.0
+    spectral_samples: int = SPECTRAL_SAMPLES
     z0: Optional[float] = None
     delta: Optional[float] = None
 
     def __post_init__(self) -> None:
         _require(self.lambda0 > 0, "lambda0 must be positive")
-        _require(self.beta >= 0, "beta must be non-negative")
+        _require(self.fwhm >= 0, "fwhm must be non-negative")
+        _require(self.spectral_samples >= 1, "samples must be >= 1")
+        _require(self.spectral_samples % 2 == 1, "samples must be odd")
+        object.__setattr__(self, "spectral_samples", array_length(
+            self.spectral_samples, "wavelength nodes"))
+        # the outermost node, lambda0 + half*step, as spectral_grid forms
+        # it; its weight's exponent, (half*step/beta)^2, is about
+        # SPECTRAL_SPAN^2
+        _, half, step = self._nodes()
+        _require(math.isfinite(self.lambda0 + half * step),
+                 f"spectral grid overflows a double: fwhm = {self.fwhm:g} m")
         if self.z0 is not None:
             _require(self.z0 > 0, "z0 must be positive when given")
         if self.delta is None:
@@ -81,6 +94,13 @@ class SourceSpec:
             else:
                 object.__setattr__(self, "delta", PLANE_WAVE_DELTA_M)
         _require(self.delta > 0, "delta must be positive")
+
+    def _nodes(self) -> tuple[float, int, float]:
+        """beta = fwhm/(2*sqrt(ln 2)), the 1/e half-width of the weight
+        exp(-(l-l0)^2/beta^2), half the node count and the node spacing."""
+        beta = self.fwhm / (2.0 * math.sqrt(math.log(2.0)))
+        half = self.spectral_samples // 2
+        return beta, half, SPECTRAL_SPAN * beta / half if half else 0.0
 
 
 @dataclass(frozen=True)
@@ -250,39 +270,22 @@ def magnification(z, z0: Optional[float] = None):
     return shaped_like(z, 1.0 + z / z0)
 
 
-def beta_from_fwhm(fwhm: float) -> float:
-    """Spectral 1/e half-width for a Gaussian line of the given FWHM."""
-    _require(fwhm >= 0, "fwhm must be non-negative")
-    return fwhm / (2.0 * math.sqrt(math.log(2.0)))
-
-
-def spectral_grid(source: SourceSpec,
-                  samples: int = SPECTRAL_SAMPLES) -> list[tuple[float, float]]:
+def spectral_grid(source: SourceSpec) -> list[tuple[float, float]]:
     """Quadrature nodes (wavelength, weight) for the source spectrum.
 
-    Nodes are evenly spaced over lambda0 +- SPECTRAL_SPAN*beta
-    (non-positive wavelengths are dropped), weighted by
-    exp(-(l-l0)^2/beta^2) and renormalized to unit sum.  samples must be
-    odd so the center line is always a node; beta = 0 collapses to
-    [(lambda0, 1.0)].
+    source.spectral_samples nodes are evenly spaced over lambda0 +-
+    SPECTRAL_SPAN*beta (non-positive wavelengths are dropped), weighted by
+    exp(-(l-l0)^2/beta^2) and renormalized to unit sum.  fwhm = 0 or one
+    sample collapses to [(lambda0, 1.0)].
     """
-    _require(samples >= 1, "samples must be >= 1")
-    _require(samples % 2 == 1, "samples must be odd")
-    if source.beta == 0.0 or samples == 1:
+    beta, half, step = source._nodes()
+    if beta == 0.0 or half == 0:
         return [(source.lambda0, 1.0)]
-    half = array_length(samples, "wavelength nodes") // 2
-    step = SPECTRAL_SPAN * source.beta / half
-    # the outermost node, lambda0 + half*step, as the arrays below form it;
-    # its weight's exponent, (half*step/beta)^2, is about SPECTRAL_SPAN^2
-    if not math.isfinite(source.lambda0 + half * step):
-        fwhm = 2.0 * math.sqrt(math.log(2.0)) * source.beta
-        raise DomainError(f"spectral grid overflows a double: "
-                          f"fwhm = {fwhm:g} m")
     # integer offsets keep the grid exactly symmetric about lambda0
     offsets = np.arange(-half, half + 1) * step
     lams = source.lambda0 + offsets
     keep = lams > 0
     lams = lams[keep]
-    weights = np.exp(-((offsets[keep] / source.beta) ** 2))
+    weights = np.exp(-((offsets[keep] / beta) ** 2))
     weights = weights / weights.sum()
     return list(zip(lams.tolist(), weights.tolist()))

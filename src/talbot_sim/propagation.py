@@ -68,11 +68,12 @@ def _power_spectra(grating: GratingSpec, b, length: int) -> np.ndarray:
 
 def _uniform_step(xs: np.ndarray):
     """The spacing h when xs[j] = xs[0] + j*h holds to a few ulps of
-    max|x| (np.linspace and DetectionSpec.positions() do), else None."""
+    max|x| (np.linspace and DetectionSpec.positions() do), else None;
+    None too when xs[-1] - xs[0] overflows."""
     if xs.size < 2:
         return None
-    step = (xs[-1] - xs[0]) / (xs.size - 1)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (xs[-1] - xs[0]) / (xs.size - 1)
         drift = np.max(np.abs(xs - (xs[0] + step * np.arange(xs.size))))
         if drift <= 4.0 * np.spacing(np.max(np.abs(xs))):
             return step
@@ -158,13 +159,25 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     step = _uniform_step(xs)
-    if step is None:
-        return _direct_cosine_sums(weights, a, xs)
     rows, size = weights.shape
     count = min(xs.size, max(size, SCRATCH_BUDGET
                              // (_DOUBLES_PER_POINT * rows) - size))
-    length = _fast_length(size + count - 1)
     nu = a / (2.0 * math.pi)
+    # the largest phase the route forms: q*a*x in radians for the direct
+    # sums; for the chirp-z transform, in turns, q*nu*x0 and nu*step*m^2
+    # (halved after nu*step), m below max(size, count)
+    top = float(np.max(np.abs(xs)))
+    if step is None:
+        phase = float(a.max()) * (size - 1) * top
+    else:
+        phase = float(nu.max()) * max(
+            (size - 1) * top, abs(float(step)) * (max(size, count) - 1) ** 2)
+    if not math.isfinite(phase):
+        raise DomainError(f"harmonic phase q*a*x overflows a double: "
+                          f"positions up to |x| = {top:g} m")
+    if step is None:
+        return _direct_cosine_sums(weights, a, xs)
+    length = _fast_length(size + count - 1)
     out = np.empty((rows, xs.size))
     for lo in range(0, xs.size, count):
         hi = min(lo + count, xs.size)
@@ -181,8 +194,6 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
     call in it, holds as many node x plane rows as SCRATCH_BUDGET allows
     at _DOUBLES_PER_POINT doubles per point of a row's FFT.
     """
-    if len(grid) == 0:
-        raise DomainError("spectral grid is empty")
     lams, weights = zip(*grid)
     if any(lam <= 0 for lam in lams):
         raise DomainError("wavelength must be positive")
@@ -267,30 +278,26 @@ def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
 
 
 def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
-                       det: DetectionSpec, grid=None):
+                       det: DetectionSpec):
     """Spectrum-weighted count rate behind a slit spanning [x, x + slit_width].
 
-    grid is a list of (wavelength, weight) nodes; by default it is
-    spectral_grid(source), and [(lam, 1.0)] gives the monochromatic rate.
-    The nodes' weighted power spectra are summed before one inverse FFT.
+    The spectrum is spectral_grid(source): the nodes' weighted power
+    spectra are summed before one inverse FFT.
     """
-    if grid is None:
-        grid = spectral_grid(source)
-    return _series(source, grating, grid, det.z, x, det.slit_width)
+    return _series(source, grating, spectral_grid(source), det.z, x,
+                   det.slit_width)
 
 
-def scan(source: SourceSpec, grating: GratingSpec, det: DetectionSpec,
-         grid=None) -> Pattern:
+def scan(source: SourceSpec, grating: GratingSpec,
+         det: DetectionSpec) -> Pattern:
     """Sweep the slit across the pattern and return it as a Pattern.
 
     The slit is swept while the grating stays put; positions are the
-    slit coordinates X.  grid names the spectrum as in
-    polychromatic_rate.  The curve peaks at 1 and the raw peak rate is
+    slit coordinates X.  The curve peaks at 1 and the raw peak rate is
     kept in meta["raw_max"].
     """
     positions = det.positions()
-    rates = np.asarray(polychromatic_rate(positions, source, grating, det,
-                                          grid=grid), dtype=float)
+    rates = polychromatic_rate(positions, source, grating, det)
     raw_max = float(rates.max())
     if raw_max <= 0:
         raise DomainError("pattern is identically zero")

@@ -144,7 +144,7 @@ def test_criterion_5_slit_integral_consistency():
                         scan_end=594e-6, scan_step=12e-6)
     xs = det.positions()
     assert xs.size == 100
-    rates = polychromatic_rate(xs, src, g, det, grid=[(LAMBDA0, 1.0)])
+    rates = polychromatic_rate(xs, src, g, det)
 
     x0 = float(xs[0])
     levels = {}

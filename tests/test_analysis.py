@@ -75,7 +75,7 @@ def test_fringe_fraction_tracks_duty_cycle_at_revival():
     det = baseline_detection(slit_width=2e-6, scan_step=3e-6)
     for f in (0.2, 0.3):
         g = baseline_grating(f=f, trunc=100)
-        pat = scan(plane_source(beta=0.0), g, det)
+        pat = scan(plane_source(fwhm=0.0), g, det)
         frac = fringe_width_fraction(pat, D)
         assert frac == pytest.approx(f, abs=0.02)
 

@@ -1,5 +1,6 @@
 """Command-line interface: files, exit codes, reports, reproducibility."""
 
+import math
 import os
 import re
 import subprocess
@@ -159,11 +160,31 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
                  ["mask", "--pixel-pitch=5e-324"],
                  ["mask", "--d=1e10", "--pixel-pitch=1e-300"],
                  # and the reduced distance z*z0/(z + z0)
-                 ["scan", "--z0=1e300", "--z=1e300"]):
+                 ["scan", "--z0=1e300", "--z=1e300"],
+                 # and the harmonic phases at the positions: the chirp-z
+                 # step's, the direct sums' q*a*x, and a window whose
+                 # width x_max - x_min is beyond a double
+                 ["oracle", "--points", "5", "--x-max=1e308"],
+                 ["scan", "--scan-start=0", "--scan-end=1e308",
+                  "--scan-step=2.5e307"],
+                 ["oracle", "--points", "1", "--x-min=1e308"],
+                 ["carpet", "--x-min=-1e308", "--x-max=1e308",
+                  "--x-count", "5", "--z-count", "2"]):
         assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_huge_positions_with_finite_phases_are_computed(tmp_path):
+    # a window from 1e300 to 2e300 m keeps every harmonic phase finite
+    out = tmp_path / "carpet.csv"
+    assert main(["carpet", "--x-min=1e300", "--x-max=2e300", "--x-count",
+                 "5", "--z-count", "2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    values = [float(v) for row in rows[1:] for v in row[1:]]
+    assert values and all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("command", ["scan", "carpet", "mc", "oracle",

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, reject
 from hypothesis import strategies as st
 
-from talbot_sim import (ConfigError, DomainError, RunConfig, beta_from_fwhm,
-                        read_config_file)
+from talbot_sim import (ConfigError, DomainError, RunConfig, read_config_file,
+                        spectral_grid)
 from talbot_sim.config import (CONFIG_KEYS, RUN_KEYS, echo_lines,
                                parse_value, resolve)
 from talbot_sim.units import fmt, fmt_exact, parse_float, parse_int, \
@@ -41,7 +41,8 @@ def test_config_builds_model_objects():
     assert src.z0 == Z0
     # unset aperture half-width resolves from the source distance
     assert src.delta == pytest.approx(0.5e-3 * Z0)
-    assert src.beta == beta_from_fwhm(FWHM)
+    # the spectral line under the config keys' own names
+    assert src.fwhm == FWHM and src.spectral_samples == 41
     g = cfg.grating()
     assert g.d == 360e-6 and g.f == 0.1 and g.trunc == 80
     det = cfg.detection()
@@ -199,7 +200,7 @@ def test_echo_lines_round_trip(overrides):
     assert back.source() == cfg.source()
     assert back.grating() == cfg.grating()
     assert back.detection() == cfg.detection()
-    assert back.spectrum() == cfg.spectrum()
+    assert spectral_grid(back.source()) == spectral_grid(cfg.source())
     assert echo_lines(back) == lines
 
 

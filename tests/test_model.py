@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from talbot_sim import (Carpet, DetectionSpec, DomainError, GratingSpec,
-                        Pattern, SourceSpec, beta_from_fwhm,
-                        effective_distance, magnification, spectral_grid,
-                        talbot_length)
+                        Pattern, SourceSpec, effective_distance,
+                        magnification, spectral_grid, talbot_length)
 from talbot_sim.model import SPECTRAL_SPAN
 
 from helpers import D, FWHM, LAMBDA0, Z0, plane_source
@@ -122,27 +121,36 @@ def test_effective_distance_refuses_an_overflowing_product():
     assert effective_distance(1e300, 1e-10) == pytest.approx(1e-10)
 
 
-def test_beta_from_fwhm_inverts_half_maximum():
-    # the spectral weight exp(-(dl/beta)**2) must be 1/2 at dl = FWHM/2
-    beta = beta_from_fwhm(FWHM)
-    assert math.exp(-((FWHM / 2) / beta) ** 2) == pytest.approx(0.5, rel=1e-12)
+# the 1/e half-width of the baseline line's weight exp(-(dl/beta)**2)
+BETA = FWHM / (2 * math.sqrt(math.log(2)))
 
 
-def test_beta_from_fwhm_rejects_negative():
-    with pytest.raises(DomainError):
-        beta_from_fwhm(-1e-9)
-    assert beta_from_fwhm(0.0) == 0.0
+def test_spectral_grid_weights_are_the_gaussian_line():
+    # each node's weight is the line exp(-4 ln 2 (l - l0)^2 / fwhm^2), which
+    # is 1/2 at l - l0 = fwhm/2, normalized over the nodes
+    for samples in (3, 41, 101):
+        grid = spectral_grid(plane_source(fwhm=FWHM, spectral_samples=samples))
+        lams = np.array([lam for lam, _ in grid])
+        line = np.exp(-4 * math.log(2) * (lams - LAMBDA0) ** 2 / FWHM ** 2)
+        want = line / line.sum()
+        got = np.array([w for _, w in grid])
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+def test_source_refuses_negative_fwhm():
+    with pytest.raises(DomainError, match="^fwhm must be non-negative$"):
+        plane_source(fwhm=-1e-9)
+    assert spectral_grid(plane_source(fwhm=0.0)) == [(LAMBDA0, 1.0)]
 
 
 def test_spectral_grid_symmetric_unit_sum():
-    src = plane_source(beta=30e-9)
-    grid = spectral_grid(src, samples=41)
+    grid = spectral_grid(plane_source(fwhm=FWHM, spectral_samples=41))
     assert len(grid) == 41
     lams = [g[0] for g in grid]
     ws = [g[1] for g in grid]
     assert sum(ws) == pytest.approx(1.0, abs=1e-12)
     assert lams[20] == LAMBDA0  # center line is always a node
-    assert lams[40] - LAMBDA0 == pytest.approx(SPECTRAL_SPAN * 30e-9,
+    assert lams[40] - LAMBDA0 == pytest.approx(SPECTRAL_SPAN * BETA,
                                                rel=1e-9)
     for i in range(20):
         assert ws[i] == ws[40 - i]  # weights mirror exactly
@@ -151,15 +159,15 @@ def test_spectral_grid_symmetric_unit_sum():
 
 
 def test_spectral_grid_monochromatic_collapses():
-    assert spectral_grid(plane_source(beta=0.0)) == [(LAMBDA0, 1.0)]
-    assert spectral_grid(plane_source(beta=30e-9), samples=1) == [
+    assert spectral_grid(plane_source(fwhm=0.0)) == [(LAMBDA0, 1.0)]
+    assert spectral_grid(plane_source(fwhm=FWHM, spectral_samples=1)) == [
         (LAMBDA0, 1.0)]
 
 
 def test_spectral_grid_drops_nonpositive_wavelengths():
     # a line wider than its own center wavelength would reach lam <= 0
-    src = SourceSpec(lambda0=1e-9, beta=1e-9)
-    grid = spectral_grid(src, samples=41)
+    src = SourceSpec(lambda0=1e-9, fwhm=2e-9, spectral_samples=41)
+    grid = spectral_grid(src)
     assert 0 < len(grid) < 41
     assert all(lam > 0 for lam, _ in grid)
     assert sum(w for _, w in grid) == pytest.approx(1.0, abs=1e-12)
@@ -167,16 +175,20 @@ def test_spectral_grid_drops_nonpositive_wavelengths():
 
 @pytest.mark.parametrize("samples", [40, 0, -3, 10 ** 19 - 1])
 def test_spectral_grid_rejects_bad_arguments(samples):
+    # the node count is the source's: a bad one is refused with the source
     with pytest.raises(DomainError):
-        spectral_grid(plane_source(beta=30e-9), samples=samples)
+        plane_source(fwhm=FWHM, spectral_samples=samples)
 
 
 def test_spectral_grid_refuses_a_node_beyond_a_double():
-    # the outermost node lambda0 + SPECTRAL_SPAN*beta overflows
-    src = plane_source(beta=beta_from_fwhm(1e308))
+    # the outermost node lambda0 + SPECTRAL_SPAN*beta overflows, so the
+    # source that would need it is refused
     with pytest.raises(DomainError, match=r"^spectral grid overflows a "
                        r"double: fwhm = 1e\+308 m$"):
-        spectral_grid(src)
+        plane_source(fwhm=1e308)
+    # one node is lambda0 alone, at any width
+    assert spectral_grid(plane_source(fwhm=1e308, spectral_samples=1)) == [
+        (LAMBDA0, 1.0)]
 
 
 def test_source_delta_defaults():
@@ -188,7 +200,7 @@ def test_source_delta_defaults():
 
 @pytest.mark.parametrize("kw", [
     dict(lambda0=0.0), dict(lambda0=-1e-9),
-    dict(lambda0=LAMBDA0, beta=-1e-9),
+    dict(lambda0=LAMBDA0, fwhm=-1e-9),
     dict(lambda0=LAMBDA0, z0=0.0), dict(lambda0=LAMBDA0, z0=-1.0),
     dict(lambda0=LAMBDA0, delta=0.0), dict(lambda0=LAMBDA0, delta=-1e-3),
 ])

@@ -6,8 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbot_sim import (DomainError, Pattern, beta_from_fwhm, scan,
-                        simulate_scan, spectral_grid)
+from talbot_sim import DomainError, Pattern, scan, simulate_scan
 from talbot_sim.montecarlo import RNG_ID
 
 from helpers import (FWHM, baseline_detection, baseline_grating,
@@ -15,9 +14,8 @@ from helpers import (FWHM, baseline_detection, baseline_grating,
 
 
 def _curve(f=0.3, samples=41):
-    src = point_source(beta=beta_from_fwhm(FWHM))
-    return scan(src, baseline_grating(f=f), baseline_detection(),
-                grid=spectral_grid(src, samples))
+    src = point_source(fwhm=FWHM, spectral_samples=samples)
+    return scan(src, baseline_grating(f=f), baseline_detection())
 
 
 def _run(seed=7, events=1000.0, **kw):

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbot_sim import (beta_from_fwhm, binary_transmission,
-                        effective_distance, fourier_coefficient,
-                        fresnel_field, fresnel_intensity, intensity,
-                        magnification, polychromatic_rate)
+from talbot_sim import (binary_transmission, effective_distance,
+                        fourier_coefficient, fresnel_field, fresnel_intensity,
+                        intensity, magnification, polychromatic_rate)
 
 from helpers import (FWHM, LAMBDA0, Z0, baseline_detection, baseline_grating,
                      plane_source, point_source, truncated_transmission)
@@ -20,8 +19,7 @@ from helpers import (FWHM, LAMBDA0, Z0, baseline_detection, baseline_grating,
 # sources light about 1 mm either side of the axis
 GRATING = baseline_grating(f=0.3, trunc=40)
 DET = baseline_detection()
-SOURCES = {"plane": plane_source(beta=beta_from_fwhm(FWHM)),
-           "point": point_source(beta=beta_from_fwhm(FWHM))}
+SOURCES = {"plane": plane_source(fwhm=FWHM), "point": point_source(fwhm=FWHM)}
 
 POSITIONS = st.floats(-1e-3, 1e-3)
 ORDERS = st.integers(-500, 500)
