@@ -275,11 +275,11 @@ def spectral_grid(source: SourceSpec) -> list[tuple[float, float]]:
 
     source.spectral_samples nodes are evenly spaced over lambda0 +-
     SPECTRAL_SPAN*beta (non-positive wavelengths are dropped), weighted by
-    exp(-(l-l0)^2/beta^2) and renormalized to unit sum.  fwhm = 0 or one
-    sample collapses to [(lambda0, 1.0)].
+    exp(-(l-l0)^2/beta^2) and renormalized to unit sum.  A line whose
+    outermost node rounds to lambda0 collapses to [(lambda0, 1.0)].
     """
     beta, half, step = source._nodes()
-    if beta == 0.0 or half == 0:
+    if source.lambda0 + half * step == source.lambda0:
         return [(source.lambda0, 1.0)]
     # integer offsets keep the grid exactly symmetric about lambda0
     offsets = np.arange(-half, half + 1) * step

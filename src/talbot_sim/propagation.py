@@ -5,11 +5,12 @@ field amplitude is psi(x) = sum_n c_n exp(i*n*a*x) with the chirped
 coefficients c_n = A_n exp(i*n^2*b), b = pi*lam*z_eff/d^2.  Its intensity
 |psi|^2 has the harmonics C_q = sum_n c_{n+q} conj(c_n), q = 0..2*trunc,
 the autocorrelation of c, the inverse FFT of its power spectrum.  One
-engine, _plane_harmonics, gives every plane H_q = sum_w weight_w C_q(b_w),
-one inverse FFT of the nodes' weighted power spectra, and a = 2*pi/(d*M).
+engine, _plane_harmonics, reads its source's nodes (lam_w, weight_w) from
+spectral_grid and gives every plane H_q = sum_w weight_w C_q(b_w), one
+inverse FFT of the nodes' weighted power spectra, and a = 2*pi/(d*M).
 Each observable is a cosine sum sum_q w_q cos(q*a*x) over them, taken by
-one step (_series) with w = (H_0, 2*H_1, ...): the intensity and the
-carpet of one node, and the slit rate with the slit factor folded in.
+one step (_series) with w = (H_0, 2*H_1, ...): the slit rate over the
+source's line, slit factor folded in; intensity and carpet at one node.
 On an evenly spaced grid of P positions the sum is a chirp-z transform,
 one FFT convolution of about 2*trunc + P points (_chirp_z); scalars and
 other positions cost 2*trunc cosines each.
@@ -18,6 +19,7 @@ other positions cost 2*trunc cosines each.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -185,18 +187,17 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
     return out
 
 
-def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
+def _plane_harmonics(source: SourceSpec, grating: GratingSpec, zs):
     """Spectrum-weighted harmonics of the planes zs, in blocks (rows, harm,
     a) in order: rows is the slice of zs a block covers, harm[i] = sum_w
-    weight_w * C_q(b_w(z_i)), one inverse FFT of the nodes' weighted power
-    spectra summed row by row in node order, and a[i] = 2*pi/(d*M(z_i)).
+    weight_w * C_q(b_w(z_i)) over the nodes w of spectral_grid(source),
+    one inverse FFT of their weighted power spectra summed row by row in
+    node order, and a[i] = 2*pi/(d*M(z_i)).
     The one sizing of passes over planes: a block, and each _power_spectra
     call in it, holds as many node x plane rows as SCRATCH_BUDGET allows
     at _DOUBLES_PER_POINT doubles per point of a row's FFT.
     """
-    lams, weights = zip(*grid)
-    if any(lam <= 0 for lam in lams):
-        raise DomainError("wavelength must be positive")
+    lams, weights = zip(*spectral_grid(source))
     zs = np.asarray(zs, dtype=float)
     zeff = effective_distance(zs, source.z0)
     # b = pi*lam*z_eff/d^2 peaks at the longest wavelength and the farthest
@@ -239,7 +240,7 @@ def _plane_harmonics(source: SourceSpec, grating: GratingSpec, grid, zs):
         yield block, harm, a[block]
 
 
-def _series(source: SourceSpec, grating: GratingSpec, grid, zs, x,
+def _series(source: SourceSpec, grating: GratingSpec, zs, x,
             slit_width: float | None = None):
     """sum_q w_q cos(q*a*x) on the planes zs from their _plane_harmonics,
     w = (H_0, 2*H_1, 2*H_2, ...): the intensity.
@@ -255,7 +256,7 @@ def _series(source: SourceSpec, grating: GratingSpec, grid, zs, x,
         xs = xs + slit_width / 2.0
     planes = np.atleast_1d(zs)
     values = np.empty((planes.size, xs.size))
-    for rows, harm, a in _plane_harmonics(source, grating, grid, planes):
+    for rows, harm, a in _plane_harmonics(source, grating, planes):
         harm[:, 1:] *= 2.0
         if slit_width is not None:
             qa = np.multiply.outer(a, np.arange(1, harm.shape[1]))
@@ -267,14 +268,14 @@ def _series(source: SourceSpec, grating: GratingSpec, grid, zs, x,
 
 def intensity(x, lam: float, source: SourceSpec, grating: GratingSpec,
               z: float):
-    """Monochromatic intensity at lateral position x, distance z.
+    """Monochromatic intensity at lam, lateral position x, distance z.
 
     x may be a scalar or an array.  The pattern is periodic with the
     magnified period d*(1 + z/z0) and normalized so that a fully open
     grating gives 1.  An evenly spaced grid costs one FFT convolution,
-    any other x O(trunc) per position.
+    any other x O(trunc) per position.  The source's fwhm is not read.
     """
-    return _series(source, grating, [(lam, 1.0)], z, x)
+    return _series(replace(source, lambda0=lam, fwhm=0.0), grating, z, x)
 
 
 def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
@@ -284,8 +285,7 @@ def polychromatic_rate(x, source: SourceSpec, grating: GratingSpec,
     The spectrum is spectral_grid(source): the nodes' weighted power
     spectra are summed before one inverse FFT.
     """
-    return _series(source, grating, spectral_grid(source), det.z, x,
-                   det.slit_width)
+    return _series(source, grating, det.z, x, det.slit_width)
 
 
 def scan(source: SourceSpec, grating: GratingSpec,
@@ -316,7 +316,7 @@ def scan(source: SourceSpec, grating: GratingSpec,
 
 def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
            norm: str = NORM_RAW) -> Carpet:
-    """Monochromatic intensity at source.lambda0 on a full (z, x) raster.
+    """Intensity at source.lambda0, whatever its fwhm, on a (z, x) raster.
 
     Row i holds the pattern at z_grid[i].  With norm="per-column-max-one"
     each x column is rescaled to peak at 1 across z.
@@ -325,7 +325,7 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
     zs = np.asarray(z_grid, dtype=float)
     if zs.size == 0:
         raise DomainError("carpet z grid is empty")
-    values = _series(source, grating, [(source.lambda0, 1.0)], zs, xs)
+    values = _series(replace(source, fwhm=0.0), grating, zs, xs)
     if norm == NORM_COLUMN_MAX_ONE:
         peaks = values.max(axis=0)
         if np.any(peaks <= 0):

@@ -164,6 +164,15 @@ def test_spectral_grid_monochromatic_collapses():
         (LAMBDA0, 1.0)]
 
 
+@pytest.mark.parametrize("fwhm", [5e-324, 1e-320, 1e-23])
+def test_spectral_grid_sub_ulp_line_is_one_node(fwhm):
+    # the outermost node lambda0 + SPECTRAL_SPAN*beta rounds to lambda0, so
+    # every node would: the line is its center node alone, not 41 copies
+    assert spectral_grid(plane_source(fwhm=fwhm)) == [(LAMBDA0, 1.0)]
+    # a line whose outermost node moves keeps all of its nodes
+    assert len(spectral_grid(plane_source(fwhm=1e-22))) == 41
+
+
 def test_spectral_grid_drops_nonpositive_wavelengths():
     # a line wider than its own center wavelength would reach lam <= 0
     src = SourceSpec(lambda0=1e-9, fwhm=2e-9, spectral_samples=41)

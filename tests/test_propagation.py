@@ -1,6 +1,7 @@
 """Closed-form propagation: imaging identities, rates, scans, carpets."""
 
 import cmath
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -351,6 +352,27 @@ def test_scan_meta_names_the_spectrum_it_averaged():
         assert np.array_equal(pat.values, rates / pat.meta["raw_max"])
 
 
+def test_sub_ulp_line_scans_as_its_center_line():
+    # a line whose outermost node rounds to lambda0 is one node, so its
+    # scan has the bits of the fwhm-0 scan, not a 41-node sum at lambda0
+    g, det = baseline_grating(f=0.3), baseline_detection()
+    assert np.array_equal(scan(point_source(fwhm=5e-324), g, det).values,
+                          scan(point_source(fwhm=0.0), g, det).values)
+
+
+def test_carpet_and_intensity_compute_at_the_line_center():
+    # both read no fwhm: a 50 nm source gives the bits of its fwhm-0 copy
+    g = baseline_grating(f=0.3)
+    wide = point_source(fwhm=FWHM)
+    mono = dataclasses.replace(wide, fwhm=0.0)
+    xs = np.linspace(-D, D, 33)
+    zs = np.array([0.05, 0.16])
+    assert np.array_equal(carpet(wide, g, xs, zs).values,
+                          carpet(mono, g, xs, zs).values)
+    assert np.array_equal(intensity(xs, LAMBDA0, wide, g, 0.16),
+                          intensity(xs, LAMBDA0, mono, g, 0.16))
+
+
 def test_carpet_rows_are_intensity_patterns():
     g = baseline_grating(f=0.3)
     src = plane_source()
@@ -412,6 +434,13 @@ def test_carpet_rejects_empty_z_grid():
 def _row_points(grating):
     """The FFT points _plane_harmonics costs a row at."""
     return propagation._fast_length(4 * grating.trunc + 1)
+
+
+def _node_harmonics(source, grating, nodes, zs):
+    """The blocks of _plane_harmonics with the source's line replaced by
+    nodes, any list of (wavelength, weight) pairs."""
+    with mock.patch.object(propagation, "spectral_grid", return_value=nodes):
+        return list(_plane_harmonics(source, grating, zs))
 
 
 def _harmonics(grating, b):
@@ -574,13 +603,13 @@ def test_plane_harmonics_is_the_node_order_sum(nodes, zs, point, rows):
     g = baseline_grating(f=0.3, trunc=40)
     budget = rows * propagation._DOUBLES_PER_POINT * _row_points(g)
     with mock.patch.object(propagation, "SCRATCH_BUDGET", budget):
-        blocks = list(_plane_harmonics(src, g, nodes, zs))
+        blocks = _node_harmonics(src, g, nodes, zs)
     covered = np.concatenate([np.arange(len(zs))[r] for r, _, _ in blocks])
     assert np.array_equal(covered, np.arange(len(zs)))
     assert all(len(h) <= max(1, rows // len(nodes)) for _, h, _ in blocks)
     harm = np.concatenate([h for _, h, _ in blocks])
     a = np.concatenate([ab for _, _, ab in blocks])
-    whole = list(_plane_harmonics(src, g, nodes, zs))
+    whole = _node_harmonics(src, g, nodes, zs)
     assert len(whole) == 1
     assert np.array_equal(harm, whole[0][1])
     assert harm.shape == (len(zs), 2 * g.trunc + 1)
@@ -607,8 +636,8 @@ def test_one_node_harmonics_are_the_node_sum(lam, lam2, zs, point, trunc):
     # takes it, and adds nothing to a single bit
     src = point_source() if point else plane_source()
     g = baseline_grating(f=0.3, trunc=trunc)
-    one = list(_plane_harmonics(src, g, [(lam, 1.0)], zs))
-    two = list(_plane_harmonics(src, g, [(lam, 1.0), (lam2, 0.0)], zs))
+    one = _node_harmonics(src, g, [(lam, 1.0)], zs)
+    two = _node_harmonics(src, g, [(lam, 1.0), (lam2, 0.0)], zs)
     for k in (1, 2):
         assert np.array_equal(np.concatenate([b[k] for b in one]),
                               np.concatenate([b[k] for b in two]))
@@ -639,7 +668,7 @@ def _pair_sum(grating, grid, zeff):
 def test_plane_harmonics_match_direct_pair_sums(trunc, f, nodes, z, point):
     src = point_source() if point else plane_source()
     g = baseline_grating(f=f, trunc=trunc)
-    [(_, harm, _)] = _plane_harmonics(src, g, nodes, [z])
+    [(_, harm, _)] = _node_harmonics(src, g, nodes, [z])
     want = _pair_sum(g, nodes, effective_distance(z, src.z0))
     assert np.max(np.abs(harm[0] - want)) <= max(1e-13 * want[0], _FLOOR)
 
@@ -648,8 +677,7 @@ def test_plane_harmonics_take_one_inverse_fft_per_block():
     # the 41 nodes' power spectra are summed before the one inverse FFT of
     # their block, whether the planes fit one block or seven
     src = point_source(fwhm=FWHM)
-    grid = spectral_grid(src)
-    assert len(grid) == 41
+    assert len(spectral_grid(src)) == 41
     g = baseline_grating(f=0.1)
     zs = np.linspace(0.05, 0.3, 20)
     for budget, count in ((propagation.SCRATCH_BUDGET, 1),
@@ -657,7 +685,7 @@ def test_plane_harmonics_take_one_inverse_fft_per_block():
                            * _row_points(g), 7)):
         with mock.patch.object(propagation, "SCRATCH_BUDGET", budget), \
                 mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
-            blocks = list(_plane_harmonics(src, g, grid, zs))
+            blocks = list(_plane_harmonics(src, g, zs))
         assert len(blocks) == count
         assert ifft.call_count == count
 
@@ -674,6 +702,6 @@ def test_split_blocks_leave_carpet_and_revival_unchanged():
     want = carpet(src, g, xs, zs).values
     budget = 3 * propagation._DOUBLES_PER_POINT * _row_points(g)
     with mock.patch.object(propagation, "SCRATCH_BUDGET", budget):
-        assert len(list(_plane_harmonics(src, g, [(LAMBDA0, 1.0)], zs))) == 7
+        assert len(list(_plane_harmonics(src, g, zs))) == 7
         got = carpet(src, g, xs, zs).values
     assert np.array_equal(got, want)
