@@ -59,9 +59,9 @@ class SourceSpec:
     """Illumination: center wavelength, spectral line, geometry.
 
     fwhm is the full width at half maximum of the Gaussian spectral line,
-    0 for monochromatic light; spectral_grid samples it on
-    spectral_samples nodes, an odd count so the center line is always a
-    node.  z0 is the source-to-grating distance, None for plane-wave
+    0 for monochromatic light; spectral_grid samples it at
+    spectral_samples wavelengths, an odd count so the center line is
+    always a node.  z0 is the source-to-grating distance, None for plane-wave
     illumination.  delta is the illuminated half-width at the grating; if
     omitted it is sized from the 0.5 mrad source cone (delta = 0.5e-3 * z0)
     or falls back to 1 mm for a plane wave.
@@ -80,7 +80,7 @@ class SourceSpec:
         _require(self.spectral_samples % 2 == 1, "samples must be odd")
         object.__setattr__(self, "spectral_samples", array_length(
             self.spectral_samples, "wavelength nodes"))
-        # the outermost node, lambda0 + half*step, as spectral_grid forms
+        # the outermost sample, lambda0 + half*step, as spectral_grid forms
         # it; its weight's exponent, (half*step/beta)^2, is about
         # SPECTRAL_SPAN^2
         _, half, step = self._nodes()
@@ -97,7 +97,7 @@ class SourceSpec:
 
     def _nodes(self) -> tuple[float, int, float]:
         """beta = fwhm/(2*sqrt(ln 2)), the 1/e half-width of the weight
-        exp(-(l-l0)^2/beta^2), half the node count and the node spacing."""
+        exp(-(l-l0)^2/beta^2), half the sample count and their spacing."""
         beta = self.fwhm / (2.0 * math.sqrt(math.log(2.0)))
         half = self.spectral_samples // 2
         return beta, half, SPECTRAL_SPAN * beta / half if half else 0.0
@@ -271,21 +271,21 @@ def magnification(z, z0: Optional[float] = None):
 
 
 def spectral_grid(source: SourceSpec) -> list[tuple[float, float]]:
-    """Quadrature nodes (wavelength, weight) for the source spectrum.
-
-    source.spectral_samples nodes are evenly spaced over lambda0 +-
-    SPECTRAL_SPAN*beta (non-positive wavelengths are dropped), weighted by
-    exp(-(l-l0)^2/beta^2) and renormalized to unit sum.  A line whose
-    outermost node rounds to lambda0 collapses to [(lambda0, 1.0)].
-    """
+    """Quadrature nodes (wavelength, weight) for the source spectrum:
+    source.spectral_samples samples evenly spaced over lambda0 +-
+    SPECTRAL_SPAN*beta, weighted by exp(-(l-l0)^2/beta^2), make one node
+    per distinct positive wavelength, carrying the summed weight of the
+    samples that round to it; the weights are renormalized to unit sum."""
     beta, half, step = source._nodes()
-    if source.lambda0 + half * step == source.lambda0:
+    if not step:
         return [(source.lambda0, 1.0)]
     # integer offsets keep the grid exactly symmetric about lambda0
     offsets = np.arange(-half, half + 1) * step
     lams = source.lambda0 + offsets
-    keep = lams > 0
-    lams = lams[keep]
-    weights = np.exp(-((offsets[keep] / beta) ** 2))
+    # the grid ascends, so each run of equal positive wavelengths is a node
+    first = lams > 0
+    first[1:] &= lams[1:] != lams[:-1]
+    weights = np.exp(-((offsets / beta) ** 2))
+    weights = np.add.reduceat(weights, np.flatnonzero(first))
     weights = weights / weights.sum()
-    return list(zip(lams.tolist(), weights.tolist()))
+    return list(zip(lams[first].tolist(), weights.tolist()))

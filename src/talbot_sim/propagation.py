@@ -259,6 +259,10 @@ def _series(source: SourceSpec, grating: GratingSpec, zs, x,
     for rows, harm, a in _plane_harmonics(source, grating, planes):
         harm[:, 1:] *= 2.0
         if slit_width is not None:
+            if not math.isfinite(float(a.max()) * (harm.shape[1] - 1)
+                                 * slit_width):
+                raise DomainError(f"slit phase q*a*slit_width overflows a "
+                                  f"double: slit_width = {slit_width:g} m")
             qa = np.multiply.outer(a, np.arange(1, harm.shape[1]))
             harm[:, 0] = harm[:, 0] * slit_width / 2.0
             harm[:, 1:] = harm[:, 1:] * np.sin(qa * slit_width / 2.0) / qa
@@ -331,8 +335,6 @@ def carpet(source: SourceSpec, grating: GratingSpec, x_grid, z_grid,
         if np.any(peaks <= 0):
             raise DomainError("carpet column peaks at zero; cannot normalize")
         values = values / peaks
-    elif norm != NORM_RAW:
-        raise DomainError(f"unknown carpet norm {norm!r}")
     return Carpet(x_axis=xs, z_axis=zs, values=values, norm=norm,
                   meta={"source": source, "grating": grating,
                         "wavelength": source.lambda0})

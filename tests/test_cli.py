@@ -169,7 +169,11 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
                   "--scan-step=2.5e307"],
                  ["oracle", "--points", "1", "--x-min=1e308"],
                  ["carpet", "--x-min=-1e308", "--x-max=1e308",
-                  "--x-count", "5", "--z-count", "2"]):
+                  "--x-count", "5", "--z-count", "2"],
+                 # and the slit phase q*a*slit_width
+                 ["scan", "--slit-width=1e306"],
+                 ["mc", "--seed", "1", "--slit-width=1.7e308"],
+                 ["analyze", "--slit-width=1e306"]):
         assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -185,6 +189,19 @@ def test_huge_positions_with_finite_phases_are_computed(tmp_path):
             if not line.startswith("#")]
     values = [float(v) for row in rows[1:] for v in row[1:]]
     assert values and all(math.isfinite(v) for v in values)
+
+
+def test_slit_wider_than_its_phase_range_is_named(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--slit-width=1e306", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: slit phase q*a*slit_width overflows a double: "
+        "slit_width = 1e+306 m\n")
+    # a 1e300 m slit keeps every phase finite and is computed
+    assert main(["scan", "--slit-width=1e300", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
 
 
 @pytest.mark.parametrize("command", ["scan", "carpet", "mc", "oracle",

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from talbot_sim import (Carpet, DetectionSpec, DomainError, GratingSpec,
                         Pattern, SourceSpec, effective_distance,
@@ -166,11 +168,48 @@ def test_spectral_grid_monochromatic_collapses():
 
 @pytest.mark.parametrize("fwhm", [5e-324, 1e-320, 1e-23])
 def test_spectral_grid_sub_ulp_line_is_one_node(fwhm):
-    # the outermost node lambda0 + SPECTRAL_SPAN*beta rounds to lambda0, so
-    # every node would: the line is its center node alone, not 41 copies
+    # every sample lambda0 + k*step rounds to lambda0: the line is its
+    # center node alone, carrying the whole weight, not 41 copies
     assert spectral_grid(plane_source(fwhm=fwhm)) == [(LAMBDA0, 1.0)]
-    # a line whose outermost node moves keeps all of its nodes
-    assert len(spectral_grid(plane_source(fwhm=1e-22))) == 41
+    # a line whose samples move keeps one node per distinct wavelength
+    counts = [len(spectral_grid(plane_source(fwhm=w)))
+              for w in (3e-23, 1e-22, 1e-21, 3e-21)]
+    assert counts == [3, 5, 35, 41]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fwhm=st.one_of(st.just(0.0), st.floats(
+           math.log(5e-324), math.log(1e-6)).map(math.exp)),
+       samples=st.integers(0, 100).map(lambda k: 2 * k + 1))
+@example(fwhm=5e-324, samples=41)  # a sub-ulp line
+@example(fwhm=1e-22, samples=41)  # 5 distinct wavelengths
+@example(fwhm=1e-6, samples=201)  # samples at lam <= 0 dropped
+def test_spectral_grid_is_one_node_per_distinct_wavelength(fwhm, samples):
+    src = plane_source(fwhm=fwhm, spectral_samples=samples)
+    lams, weights = zip(*spectral_grid(src))
+    assert len(lams) <= samples and LAMBDA0 in lams
+    assert lams[0] > 0 and all(a < b for a, b in zip(lams, lams[1:]))
+    # group the samples lambda0 + k*step by the double each rounds to
+    beta = fwhm / (2 * math.sqrt(math.log(2)))
+    half = samples // 2
+    step = SPECTRAL_SPAN * beta / half if half else 0.0
+    runs = {}
+    for k in range(-half, half + 1):
+        if LAMBDA0 + k * step > 0:
+            runs.setdefault(LAMBDA0 + k * step, []).append(
+                math.exp(-(k * step / beta) ** 2) if k * step else 1.0)
+    total = math.fsum(math.fsum(run) for run in runs.values())
+    assert list(lams) == sorted(runs)
+    for lam, w in zip(lams, weights):
+        assert w == pytest.approx(math.fsum(runs[lam]) / total, rel=1e-13)
+    if step and len(runs) == sum(len(run) for run in runs.values()):
+        # distinct samples: the unmerged formula's nodes and weights, bit
+        # for bit
+        offsets = np.arange(-half, half + 1) * step
+        keep = LAMBDA0 + offsets > 0
+        want = np.exp(-((offsets[keep] / beta) ** 2))
+        assert list(lams) == (LAMBDA0 + offsets[keep]).tolist()
+        assert list(weights) == (want / want.sum()).tolist()
 
 
 def test_spectral_grid_drops_nonpositive_wavelengths():

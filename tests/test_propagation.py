@@ -353,11 +353,24 @@ def test_scan_meta_names_the_spectrum_it_averaged():
 
 
 def test_sub_ulp_line_scans_as_its_center_line():
-    # a line whose outermost node rounds to lambda0 is one node, so its
-    # scan has the bits of the fwhm-0 scan, not a 41-node sum at lambda0
+    # a line whose samples all round to lambda0 is one node of weight 1, so
+    # its scan has the bits of the fwhm-0 scan, not a 41-node sum at lambda0
     g, det = baseline_grating(f=0.3), baseline_detection()
-    assert np.array_equal(scan(point_source(fwhm=5e-324), g, det).values,
-                          scan(point_source(fwhm=0.0), g, det).values)
+    mono = scan(point_source(fwhm=0.0), g, det).values
+    for fwhm in (5e-324, 1e-320, 1e-23):
+        assert np.array_equal(scan(point_source(fwhm=fwhm), g, det).values,
+                              mono)
+
+
+def test_scan_transforms_one_row_per_distinct_wavelength():
+    # at 1e-22 m the 41 samples of the line sit at 5 doubles, so the
+    # engine forms the power spectra of 5 nodes, not 41
+    g, det = baseline_grating(f=0.3), baseline_detection()
+    with mock.patch.object(propagation, "_power_spectra",
+                           wraps=propagation._power_spectra) as power:
+        scan(point_source(fwhm=1e-22), g, det)
+    assert sum(np.atleast_2d(c.args[1]).shape[0]
+               for c in power.call_args_list) == 5
 
 
 def test_carpet_and_intensity_compute_at_the_line_center():
