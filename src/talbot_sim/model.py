@@ -263,7 +263,7 @@ def magnification(z, z0: Optional[float] = None):
     if z0 is None:
         return shaped_like(z, np.ones_like(z))
     _require(z0 > 0, "z0 must be positive when given")
-    top = float(z.max())
+    top = float(z.max(initial=0.0))
     if not math.isfinite(1.0 + top / z0):
         raise DomainError(f"magnification 1 + z/z0 overflows a double: "
                           f"z = {top:g} m, z0 = {z0:g} m")

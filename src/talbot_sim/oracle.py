@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -213,16 +214,15 @@ def _edge_sum(kernel, edges: np.ndarray, signs: np.ndarray,
     return total
 
 
-def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
-                  z: float):
-    """Complex field at lateral position x on the plane at distance z.
+def fresnel_field(x, source: SourceSpec, g: GratingSpec, z: float):
+    """Complex field at lateral position x on the plane at distance z, at
+    the source's line center source.lambda0, whatever its fwhm.
 
     Raises ResolutionCapError when the aperture holds more than
     MAX_WINDOWS open grating windows, DomainError when the Fresnel scale
     is not a finite positive number or a phase overflows.
     """
-    if lam <= 0:
-        raise DomainError("wavelength must be positive")
+    lam = source.lambda0
     z_red = effective_distance(z, source.z0)
     spread = lam * z_red
     if not (spread > 0 and 0 < 2.0 / spread < math.inf):
@@ -279,6 +279,6 @@ def fresnel_field(x, lam: float, source: SourceSpec, g: GratingSpec,
 
 def fresnel_intensity(xs, lam: float, source: SourceSpec, g: GratingSpec,
                       z: float):
-    """|field|^2 at each probe position (probes are independent)."""
-    fields = fresnel_field(xs, lam, source, g, z)
-    return shaped_like(xs, np.abs(fields) ** 2)
+    """|field|^2 at each probe position at lam (probes are independent)."""
+    return shaped_like(xs, np.abs(fresnel_field(
+        xs, replace(source, lambda0=lam), g, z)) ** 2)

@@ -168,18 +168,25 @@ def _cosine_sums(weights: np.ndarray, a, x) -> np.ndarray:
     # the largest phase the route forms: q*a*x in radians for the direct
     # sums; for the chirp-z transform, in turns, q*nu*x0 and nu*step*m^2
     # (halved after nu*step), m below max(size, count)
-    top = float(np.max(np.abs(xs)))
+    top = float(np.max(np.abs(xs), initial=0.0))
     if step is None:
         phase = float(a.max()) * (size - 1) * top
     else:
-        phase = float(nu.max()) * max(
-            (size - 1) * top, abs(float(step)) * (max(size, count) - 1) ** 2)
+        phase = max(float(nu.max()) * (size - 1) * top, float(nu.max())
+                    * abs(float(step)) * (max(size, count) - 1) ** 2)
     if not math.isfinite(phase):
         raise DomainError(f"harmonic phase q*a*x overflows a double: "
                           f"positions up to |x| = {top:g} m")
     if step is None:
         return _direct_cosine_sums(weights, a, xs)
     length = _fast_length(size + count - 1)
+    # a pass multiplies the weights' spectrum, up to sum |w_q|, by the
+    # kernel's, up to length; a slit's weights reach H_0*slit_width/2
+    total = float(np.abs(weights).sum(axis=1).max())
+    if not math.isfinite(total * length):
+        raise DomainError(f"slit weights overflow a double: sum |w_q| = "
+                          f"{total:g}, from H_0*slit_width/2, times a "
+                          f"{length}-point FFT")
     out = np.empty((rows, xs.size))
     for lo in range(0, xs.size, count):
         hi = min(lo + count, xs.size)

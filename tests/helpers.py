@@ -74,14 +74,15 @@ def read_pgm(path):
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
 
 
-def mp_fresnel_field(x, lam, source, g, z, dps=30):
-    """The oracle's integral by mpmath quadrature, window by window.
+def mp_fresnel_field(x, source, g, z, dps=30):
+    """The oracle's integral at source.lambda0 by mpmath quadrature, window
+    by window.
 
     Integrates the exact binary transmission over [-delta, delta] in
     dps-digit arithmetic, with no use of the closed-form window rule.
     """
     with mp.workdps(dps):
-        x, lam, z, d = (mp.mpf(v) for v in (x, lam, z, g.d))
+        x, lam, z, d = (mp.mpf(v) for v in (x, source.lambda0, z, g.d))
         half_width = mp.mpf(source.delta)
         half_open = mp.mpf(g.f) * d / 2
         z0 = None if source.z0 is None else mp.mpf(source.z0)
@@ -103,8 +104,9 @@ def mp_fresnel_field(x, lam, source, g, z, dps=30):
         return complex(mp.sqrt(1j / lam) / z * total)
 
 
-def scipy_fresnel_field(xs, lam, source, g, z):
-    """The oracle's window rule with E(u) from scipy.special.fresnel.
+def scipy_fresnel_field(xs, source, g, z):
+    """The oracle's window rule at source.lambda0 with E(u) from
+    scipy.special.fresnel.
 
     Each open window [lo, hi] in [-delta, delta] adds (C - iS)(u) at
     u = scale (hi - c) less the same at u = scale (lo - c), c = x Z/z,
@@ -113,6 +115,7 @@ def scipy_fresnel_field(xs, lam, source, g, z):
     from scipy.special import fresnel
 
     xs = np.asarray(xs, dtype=float)
+    lam = source.lambda0
     half_open = g.f * g.d / 2
     reach = int(math.ceil(source.delta / g.d)) + 1
     centres = np.arange(-reach, reach + 1) * g.d

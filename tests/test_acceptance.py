@@ -106,7 +106,7 @@ def test_criterion_4_oracle_equivalence():
     # independent 30-digit quadrature of the same integral
     narrow = SourceSpec(lambda0=CFG.lambda0)
     probes = np.array([-250e-6, -90e-6, 0.0, 60e-6, 210e-6])
-    exact = np.array([abs(mp_fresnel_field(x, LAMBDA0, narrow, g, CFG.z)) ** 2
+    exact = np.array([abs(mp_fresnel_field(x, narrow, g, CFG.z)) ** 2
                       for x in probes])
     window_rule = fresnel_intensity(probes, LAMBDA0, narrow, g, CFG.z)
     accuracy = float(np.max(np.abs(window_rule - exact)) / np.max(exact))

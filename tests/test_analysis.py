@@ -90,6 +90,12 @@ def test_fringe_fraction_rejects_short_or_flat_scans():
         fringe_width_fraction(_pattern(xs, np.ones(50)), D)  # flat
     with pytest.raises(DomainError):
         fringe_width_fraction(_pattern(xs, np.ones(50)), 0.0)
+    # two periods spanned, but the runs at both ends are cut: one full
+    # fringe, from 0.75 D to 1.25 D
+    xs = np.linspace(0, 2.2 * D, 200)
+    vals = 0.5 * (1 + np.cos(2 * np.pi * xs / D))
+    with pytest.raises(DomainError, match="need at least two full fringes"):
+        fringe_width_fraction(_pattern(xs, vals), D)
 
 
 def test_revival_plane_wave_repeats_at_full_length():

@@ -98,6 +98,9 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
                  ["oracle", "--config", str(huge)]):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "out of range" in capsys.readouterr().err
+    # a number cut short after its exponent mark
+    assert main(["scan", "--f", "1e", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "cannot parse number in '1e'" in capsys.readouterr().err
     # the spectral quadrature key, from a flag and from a config file: a
     # bad number is a config problem, an even node count a domain problem
     spectral = tmp_path / "spectral.cfg"
@@ -128,6 +131,13 @@ def test_exit_code_for_domain_problems(tmp_path, capsys):
                  ["carpet", "--x-count", huge], ["oracle", "--points", huge],
                  ["mask", "--width-px", huge], ["scan", "--f", "1e-300"],
                  ["scan", "--trunc", "1e30"], ["carpet", "--trunc", "1e19"],
+                 # an open fraction so small that no light passes: the
+                 # pattern cannot be scaled to peak at 1, nor a carpet's
+                 # columns
+                 ["scan", "--f", "5e-324", "--trunc", "0"],
+                 ["analyze", "--f", "5e-324", "--trunc", "0"],
+                 ["carpet", "--f", "5e-324", "--trunc", "0", "--norm",
+                  "per-column-max-one", "--x-count", "4", "--z-count", "2"],
                  # lambda0*z underflows to 0, so the Fresnel scale is inf
                  ["oracle", "--lambda0", "1e-200", "--z", "1e-200"],
                  ["oracle", "--lambda0", "1e-200", "--z", "1e-200",
@@ -197,11 +207,24 @@ def test_slit_wider_than_its_phase_range_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: slit phase q*a*slit_width overflows a double: "
         "slit_width = 1e+306 m\n")
-    # a 1e300 m slit keeps every phase finite and is computed
-    assert main(["scan", "--slit-width=1e300", "--out", str(out)]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()
-            if not line.startswith("#")]
-    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+    # at d = 1e150 m the slit phase stays finite, but the slit weights,
+    # up to H_0*slit_width/2, overflow through the chirp-z transform's gain
+    for argv in (["--f", "0.5", "--slit-width=1.79e308"],
+                 ["--f", "0.5", "--slit-width=1e307"],
+                 ["--z0=none", "--slit-width=1e308"]):
+        assert main(["scan", "--d=1e150", *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: slit weights overflow a double: ")
+        assert "slit_width" in err and err.count("\n") == 1
+        assert not out.exists()
+    # a 1e300 m slit keeps every phase finite and is computed, and so is a
+    # 1e305 m one at d = 1e150 m, whose weights reach about 2.5e304
+    for argv in (["--slit-width=1e300"],
+                 ["--d=1e150", "--f", "0.5", "--slit-width=1e305"]):
+        assert main(["scan", *argv, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
 
 
 @pytest.mark.parametrize("command", ["scan", "carpet", "mc", "oracle",

@@ -3,12 +3,14 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from talbot_sim.csvio import _write_table, write_carpet_csv
-from talbot_sim.model import Carpet
+from talbot_sim import DomainError
+from talbot_sim.csvio import _write_table, write_carpet_csv, write_mc_csv
+from talbot_sim.model import Carpet, Pattern
 from talbot_sim.units import fmt
 
 # Values where "%.12g" changes spelling: the exponent form below 1e-4 and
@@ -63,3 +65,12 @@ def test_carpet_csv_matches_the_row_by_row_reference(tmp_path_factory, xs, zs,
     header = "," + ",".join(fmt(x) for x in xs)
     table = np.column_stack([zs, values])
     assert path.read_bytes() == _reference(comments, header, table)
+
+
+def test_mc_csv_needs_error_bars(tmp_path):
+    # a rate curve has no counting errors to write in the error column
+    path = tmp_path / "mc.csv"
+    rates = Pattern(positions=np.array([0.0, 1e-5]), values=np.ones(2))
+    with pytest.raises(DomainError, match="carries no error bars"):
+        write_mc_csv(path, rates)
+    assert not path.exists()

@@ -50,7 +50,7 @@ def test_refinement_halving_converges():
     # measured against a 30-digit quadrature of the same integral
     g = baseline_grating(f=0.3, trunc=50)
     src = plane_source()
-    ref = np.array([abs(mp_fresnel_field(x, LAMBDA0, src, g, 0.16)) ** 2
+    ref = np.array([abs(mp_fresnel_field(x, src, g, 0.16)) ** 2
                     for x in PROBES])
     vals = fresnel_intensity(PROBES, LAMBDA0, src, g, 0.16)
     rel = np.max(np.abs(vals - ref)) / np.max(ref)
@@ -66,8 +66,8 @@ def test_window_rule_matches_mpmath_quadrature(source, f):
     # quadrature to rounding, well inside 1e-10
     g = baseline_grating(f=f)
     for x in PROBES:
-        ref = mp_fresnel_field(x, LAMBDA0, source, g, 0.16)
-        got = fresnel_field(x, LAMBDA0, source, g, 0.16)
+        ref = mp_fresnel_field(x, source, g, 0.16)
+        got = fresnel_field(x, source, g, 0.16)
         assert abs(got - ref) < 1e-10 * abs(ref)
 
 
@@ -119,8 +119,8 @@ def test_field_intensity_symmetric_in_x():
     g = baseline_grating(f=0.3, trunc=50)
     src = plane_source(delta=2e-3)
     for x in (30e-6, 111e-6, 280e-6):
-        plus = abs(fresnel_field(x, LAMBDA0, src, g, 0.16)) ** 2
-        minus = abs(fresnel_field(-x, LAMBDA0, src, g, 0.16)) ** 2
+        plus = abs(fresnel_field(x, src, g, 0.16)) ** 2
+        minus = abs(fresnel_field(-x, src, g, 0.16)) ** 2
         assert minus == pytest.approx(plus, rel=1e-6)
 
 
@@ -151,8 +151,7 @@ def test_slit_rate_narrow_limit_matches_field():
     det = baseline_detection(slit_width=width)
     for x in (-60e-6, 35e-6):
         rate = _slit_integral(x, src, g, det)
-        center = abs(fresnel_field(x + width / 2, LAMBDA0, src, g,
-                                   det.z)) ** 2
+        center = abs(fresnel_field(x + width / 2, src, g, det.z)) ** 2
         assert rate / (width * center) == pytest.approx(1.0, abs=0.01)
 
 
@@ -172,26 +171,28 @@ def test_resolution_cap_enforced():
     g = baseline_grating(f=0.3, trunc=50)
     with mock.patch.object(oracle, "MAX_WINDOWS", 4), \
             pytest.raises(ResolutionCapError):
-        fresnel_field(0.0, LAMBDA0, plane_source(), g, 0.16)
+        fresnel_field(0.0, plane_source(), g, 0.16)
     with mock.patch.object(oracle, "MAX_WINDOWS", 5):
-        fresnel_field(0.0, LAMBDA0, plane_source(), g, 0.16)
+        fresnel_field(0.0, plane_source(), g, 0.16)
     with pytest.raises(ResolutionCapError):
-        fresnel_field(0.0, LAMBDA0, plane_source(delta=2e3), g, 0.16)
+        fresnel_field(0.0, plane_source(delta=2e3), g, 0.16)
 
 
 def test_field_rejects_bad_arguments():
     g = baseline_grating(f=0.3)
     src = plane_source()
+    # the wavelength fresnel_intensity takes beside its source is checked
+    # as the source's own
+    with pytest.raises(DomainError, match="^lambda0 must be positive"):
+        fresnel_intensity(0.0, -LAMBDA0, src, g, 0.16)
     with pytest.raises(DomainError):
-        fresnel_field(0.0, -LAMBDA0, src, g, 0.16)
-    with pytest.raises(DomainError):
-        fresnel_field(0.0, LAMBDA0, src, g, 0.0)
+        fresnel_field(0.0, src, g, 0.0)
     # lambda0*z underflows to 0 or overflows to inf, so sqrt(2/(lambda0*z))
     # is not a finite positive number
     for lam, z in ((1e-200, 1e-200), (1e200, 1e200)):
         with pytest.raises(DomainError, match=re.escape(
                 f"lambda0 = {lam:g} m, z = {z:g} m")):
-            fresnel_field(0.0, lam, src, g, z)
+            fresnel_field(0.0, plane_source(lambda0=lam), g, z)
 
     # z*z0 overflows: refused by name before any warning
     with pytest.raises(DomainError, match="^reduced distance"):
@@ -285,7 +286,7 @@ def test_oracle_keeps_the_scipy_route(source, z, points):
     # summed over scipy.special.fresnel
     g = baseline_grating(f=0.1)
     xs = np.linspace(-D, D, points)
-    ref = np.abs(scipy_fresnel_field(xs, LAMBDA0, source, g, z)) ** 2
+    ref = np.abs(scipy_fresnel_field(xs, source, g, z)) ** 2
     got = fresnel_intensity(xs, LAMBDA0, source, g, z)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
 
@@ -297,6 +298,6 @@ def test_probe_order_and_blocks_do_not_change_the_field():
     g = baseline_grating(f=0.1)
     src = point_source(z0=Z0, delta=5e-3)
     xs = np.random.default_rng(5).permutation(np.linspace(-3e-3, 3e-3, 41))
-    together = fresnel_field(xs, LAMBDA0, src, g, 0.16)
-    alone = np.array([fresnel_field(x, LAMBDA0, src, g, 0.16) for x in xs])
+    together = fresnel_field(xs, src, g, 0.16)
+    alone = np.array([fresnel_field(x, src, g, 0.16) for x in xs])
     assert np.max(np.abs(together - alone)) <= 1e-13 * np.max(np.abs(alone))

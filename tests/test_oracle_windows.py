@@ -75,6 +75,6 @@ def test_zero_width_windows_add_nothing():
     edges = oracle._window_edges(g, 1e-3)
     assert edges.size == 10 and np.array_equal(edges[::2], edges[1::2])
     source = SourceSpec(lambda0=810e-9, delta=1e-3)
-    field = oracle.fresnel_field(np.linspace(-1e-3, 1e-3, 9), 810e-9,
-                                 source, g, 0.16)
+    field = oracle.fresnel_field(np.linspace(-1e-3, 1e-3, 9), source, g,
+                                 0.16)
     assert not field.any()

@@ -32,7 +32,7 @@ FUNCTIONS = {
     "polychromatic_rate": (float, POSITIONS, lambda x, src:
                            polychromatic_rate(x, src, GRATING, DET)),
     "fresnel_field": (complex, POSITIONS, lambda x, src: fresnel_field(
-        x, LAMBDA0, src, GRATING, 0.16)),
+        x, src, GRATING, 0.16)),
     "fresnel_intensity": (float, POSITIONS, lambda x, src: fresnel_intensity(
         x, LAMBDA0, src, GRATING, 0.16)),
     "binary_transmission": (int, POSITIONS, lambda x, src:
@@ -47,11 +47,13 @@ FUNCTIONS = {
                            effective_distance(z, src.z0)),
 }
 
-KINDS = ("python", "numpy", "0-d", "list", "1-D", "2-D")
+KINDS = ("python", "numpy", "0-d", "list", "1-D", "2-D", "empty",
+         "2-D empty")
 
 
 def _as_kind(kind, values):
-    """Six drawn values as an input of the given kind."""
+    """Six drawn values as an input of the given kind; the empty kinds
+    keep only their dtype."""
     if kind == "python":
         return values[0]
     if kind == "numpy":
@@ -62,6 +64,10 @@ def _as_kind(kind, values):
         return values[:3]
     if kind == "1-D":
         return np.asarray(values[:4])
+    if kind == "empty":
+        return np.asarray(values)[:0]
+    if kind == "2-D empty":
+        return np.asarray(values)[:0].reshape(2, 0)
     return np.asarray(values).reshape(2, 3)
 
 
